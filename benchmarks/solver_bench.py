@@ -867,22 +867,31 @@ _HISTORY_RATIO_METRICS = (
 
 def _git_rev() -> str:
     """Short HEAD revision of the repo this script lives in, or
-    ``"unknown"`` outside a git checkout."""
+    ``"unknown"`` outside a git checkout.  A tree with uncommitted
+    changes gets a ``+dirty`` suffix: its numbers do not belong to the
+    committed revision."""
     import subprocess
 
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+    def git(*args: str):
+        return subprocess.run(
+            ["git", *args],
             capture_output=True,
             text=True,
             cwd=os.path.dirname(os.path.abspath(__file__)),
             timeout=10,
         )
-    except OSError:
+
+    try:
+        proc = git("rev-parse", "--short", "HEAD")
+        if proc.returncode != 0 or not proc.stdout.strip():
+            return "unknown"
+        rev = proc.stdout.strip()
+        status = git("status", "--porcelain")
+    except (OSError, subprocess.SubprocessError):
         return "unknown"
-    if proc.returncode != 0:
-        return "unknown"
-    return proc.stdout.strip() or "unknown"
+    if status.returncode == 0 and status.stdout.strip():
+        rev += "+dirty"
+    return rev
 
 
 def append_history(path: str, results: Dict[str, Dict[str, float]]) -> int:

@@ -135,6 +135,15 @@ class BmcEngine:
         #: subclassing every engine flavour (RefineOrderBmc, Shtrichman
         #: and BerkMin runs all inherit this ``_solve_depth``).
         self.solver_hook = None
+        #: The installed-prefix template of the current :meth:`run`: a
+        #: never-solved solver holding the unrolling's clauses up to the
+        #: last depth's frame, extended frame by frame.  Each depth's
+        #: solver is forked from it (``CdclSolver(prefix=...)``), so
+        #: per-depth construction copies arrays and installs one new
+        #: frame plus the property clause instead of re-installing the
+        #: whole unrolling.  Private to this engine; dropped when the
+        #: run ends.
+        self._template: Optional[CdclSolver] = None
 
     # Subclass hook: called after each UNSAT depth with its outcome.
     def on_unsat(self, k: int, instance: BmcInstance, outcome: SolveOutcome) -> None:
@@ -160,8 +169,18 @@ class BmcEngine:
             if config.profile_access:
                 overrides["access_stream_path"] = stem + ".racc"
             config = dc_replace(config, **overrides)
+        if self._template is None:
+            # Never solved, so it needs no CDG: a root contradiction met
+            # while installing is handed to each fork's own CDG.
+            self._template = CdclSolver(
+                config=dc_replace(self.solver_config, record_cdg=False)
+            )
         solver = CdclSolver(
-            instance.formula, strategy=strategy, config=config
+            instance.formula,
+            strategy=strategy,
+            config=config,
+            prefix=self._template,
+            prefix_clauses=instance.property_clause_index,
         )
         if self.solver_hook is not None:
             self.solver_hook(solver, k)
@@ -174,6 +193,12 @@ class BmcEngine:
     def run(self) -> BmcResult:
         """Execute the depth loop; see :class:`BmcResult`."""
         start = time.perf_counter()
+        try:
+            return self._run(start)
+        finally:
+            self._template = None
+
+    def _run(self, start: float) -> BmcResult:
         result = BmcResult(status=BmcStatus.PASSED_BOUNDED, depth_reached=self.start_depth - 1)
         for k in range(self.start_depth, self.max_depth + 1):
             if (

@@ -56,8 +56,9 @@ def feed_frames(solver: CdclSolver, unroller: Unroller, k: int, fed: int) -> int
     """
     stop = unroller.clause_watermark(k)
     solver.ensure_num_vars(unroller.var_watermark(k))
-    for lits, _origin in unroller.clauses_since(fed, stop):
-        solver.add_clause(lits)
+    solver.add_clauses(
+        clause.literals for clause, _origin in unroller.clauses_since(fed, stop)
+    )
     return stop
 
 

@@ -18,6 +18,16 @@ class AigerError(ValueError):
     """Raised on malformed AIGER input."""
 
 
+def _ints(fields: List[str], line: str) -> List[int]:
+    """The integer tokens of one line.  AIGER literals and counts are
+    unsigned ASCII decimals; anything else (a sign, ``6a``, a non-ASCII
+    digit ``int()`` would take) is an :class:`AigerError`."""
+    for token in fields:
+        if not (token.isascii() and token.isdigit()):
+            raise AigerError(f"bad token {token!r} in line {line!r}")
+    return [int(token) for token in fields]
+
+
 def parse_aiger(source: Union[str, TextIO]) -> Circuit:
     """Parse an ASCII AIGER (``aag``) description into a :class:`Circuit`."""
     stream = io.StringIO(source) if isinstance(source, str) else source
@@ -27,10 +37,9 @@ def parse_aiger(source: Union[str, TextIO]) -> Circuit:
     header = lines[0].split()
     if len(header) < 6:
         raise AigerError(f"bad header {lines[0]!r}")
-    try:
-        max_var, num_inputs, num_latches, num_outputs, num_ands = map(int, header[1:6])
-    except ValueError as exc:
-        raise AigerError(f"bad header {lines[0]!r}") from exc
+    max_var, num_inputs, num_latches, num_outputs, num_ands = _ints(
+        header[1:6], lines[0]
+    )
 
     body = [line for line in lines[1:] if line and not line.startswith("c")]
     expected = num_inputs + num_latches + num_outputs + num_ands
@@ -63,7 +72,7 @@ def parse_aiger(source: Union[str, TextIO]) -> Circuit:
     cursor = 0
     input_literals = []
     for i in range(num_inputs):
-        literal = int(body[cursor].split()[0])
+        (literal,) = _ints(body[cursor].split()[:1], body[cursor])
         cursor += 1
         if literal & 1 or literal == 0:
             raise AigerError(f"input literal {literal} must be positive and even")
@@ -76,8 +85,8 @@ def parse_aiger(source: Union[str, TextIO]) -> Circuit:
         cursor += 1
         if len(fields) < 2:
             raise AigerError(f"bad latch line {body[cursor - 1]!r}")
-        literal, next_literal = int(fields[0]), int(fields[1])
-        init = int(fields[2]) if len(fields) > 2 else 0
+        literal, next_literal, *rest = _ints(fields[:3], body[cursor - 1])
+        init = rest[0] if rest else 0
         if literal & 1 or literal == 0:
             raise AigerError(f"latch literal {literal} must be positive and even")
         init_value = None if init == literal else init
@@ -88,7 +97,7 @@ def parse_aiger(source: Union[str, TextIO]) -> Circuit:
 
     output_literals = []
     for _ in range(num_outputs):
-        output_literals.append(int(body[cursor].split()[0]))
+        output_literals.extend(_ints(body[cursor].split()[:1], body[cursor]))
         cursor += 1
 
     and_rows: List[Tuple[int, int, int]] = []
@@ -97,7 +106,7 @@ def parse_aiger(source: Union[str, TextIO]) -> Circuit:
         cursor += 1
         if len(fields) != 3:
             raise AigerError(f"bad and line {fields!r}")
-        lhs, rhs0, rhs1 = map(int, fields)
+        lhs, rhs0, rhs1 = _ints(fields, body[cursor - 1])
         if lhs & 1 or lhs == 0:
             raise AigerError(f"and output literal {lhs} must be positive and even")
         and_rows.append((lhs, rhs0, rhs1))

@@ -63,6 +63,19 @@ class CnfFormula:
         self._num_vars = num_vars
         self._clauses: List[Clause] = []
 
+    @classmethod
+    def adopt(cls, num_vars: int, clauses: List[Clause]) -> "CnfFormula":
+        """A formula over ``clauses`` with no per-clause validation.
+
+        The list is taken over, not copied.  For producers that already
+        checked every clause against the variable bound when they built
+        it (the unroller validates each frame once, when the frame is
+        encoded); everyone else goes through :meth:`add_clause`.
+        """
+        formula = cls(num_vars)
+        formula._clauses = clauses
+        return formula
+
     @property
     def num_vars(self) -> int:
         """Number of variables (variables are ``0 .. num_vars - 1``)."""
@@ -113,6 +126,13 @@ class CnfFormula:
     def clause(self, index: int) -> Clause:
         """The clause at a stable index."""
         return self._clauses[index]
+
+    def clauses_between(
+        self, start: int, stop: Optional[int] = None
+    ) -> List[Clause]:
+        """The clauses at indices ``start .. stop - 1`` (a list slice,
+        so reading a tail does not copy the whole clause list)."""
+        return self._clauses[start:stop]
 
     def num_literals(self) -> int:
         """Total literal count over all clauses (the paper's "original

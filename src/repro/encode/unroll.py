@@ -23,6 +23,8 @@ Encoding choices (standard for circuit BMC):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit, GateOp
@@ -185,12 +187,35 @@ class Unroller:
         self._origins.append(origin)
 
     def ensure_frames(self, k: int) -> None:
-        """Encode frames up to and including ``k``."""
+        """Encode frames up to and including ``k``.
+
+        Each frame's clauses are checked against the frame's variable
+        watermark once, here; instance assembly then shares slices of
+        the clause list without re-validating them per depth.
+        """
         while self._frames_built <= k:
+            first = len(self._clauses)
             self._build_frame(self._frames_built)
+            self._check_frame(first)
             self._frames_built += 1
             self._vars_after_frame.append(self._num_vars)
             self._clauses_after_frame.append(len(self._clauses))
+
+    def _check_frame(self, first: int) -> None:
+        """Reject a clause of the frame just built (indices ``first``
+        onward) that references a variable beyond its watermark."""
+        new = self._clauses[first:]
+        top = max(chain.from_iterable(map(_LITERALS, new)), default=0)
+        if (top >> 1) < self._num_vars:
+            return
+        for index, clause in enumerate(new, first):
+            for lit in clause.literals:
+                if (lit >> 1) >= self._num_vars:
+                    raise ValueError(
+                        f"clause {index} literal {lit} references variable "
+                        f"{lit >> 1} >= num_vars {self._num_vars} "
+                        f"(frame {self._frames_built})"
+                    )
 
     def _build_frame(self, frame: int) -> None:
         circuit = self.circuit
@@ -276,12 +301,11 @@ class Unroller:
         clause (the k-induction engine asserts properties via
         assumptions instead)."""
         self.ensure_frames(k)
-        num_vars = self._vars_after_frame[k]
         num_clauses = self._clauses_after_frame[k]
-        formula = CnfFormula(num_vars)
-        for lits in self._clauses[:num_clauses]:
-            formula.add_clause(lits)
-        return formula, list(self._origins[:num_clauses])
+        formula = CnfFormula.adopt(
+            self._vars_after_frame[k], self._clauses[:num_clauses]
+        )
+        return formula, self._origins[:num_clauses]
 
     # -- instance assembly -------------------------------------------------
 
@@ -296,20 +320,23 @@ class Unroller:
             if memo is not None:
                 return memo
         self.ensure_frames(k)
-        num_vars = self._vars_after_frame[k]
         num_clauses = self._clauses_after_frame[k]
-        formula = CnfFormula(num_vars)
-        for lits in self._clauses[:num_clauses]:
-            formula.add_clause(lits)
-        origins = list(self._origins[:num_clauses])
+        # O(slice) assembly: the frames' clauses were validated when
+        # they were encoded, so the formula adopts a slice of the shared
+        # clause list; only the property clause is new.
+        clauses = self._clauses[:num_clauses]
         property_lit = self.lit_of(self.property_net, k)
-        property_index = formula.add_clause([lit_neg(property_lit)])
+        clauses.append(Clause((lit_neg(property_lit),)))
+        formula = CnfFormula.adopt(self._vars_after_frame[k], clauses)
+        origins = self._origins[:num_clauses]
         origins.append(ClauseOrigin("property", self.property_net, k))
-        built = BmcInstance(self, k, formula, origins, property_index)
+        built = BmcInstance(self, k, formula, origins, num_clauses)
         if self._instance_memo is not None:
             self._instance_memo[k] = built
         return built
 
+
+_LITERALS = attrgetter("literals")
 
 _ALIAS = {
     GateOp.AND: (GateOp.AND, False),

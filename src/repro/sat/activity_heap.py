@@ -44,7 +44,13 @@ may only *grow* per literal (see the scaled-score scheme in
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, List, Sequence
+
+try:  # the stdlib's max-heap heapify (C in CPython; public from 3.14 on)
+    from heapq import heapify_max as _heapify_max  # type: ignore[attr-defined]
+except ImportError:  # pragma: no cover - depends on the interpreter
+    from heapq import _heapify_max  # type: ignore[attr-defined]
 
 
 class VariableActivityHeap:
@@ -79,18 +85,45 @@ class VariableActivityHeap:
 
     # -- bulk (re)construction ---------------------------------------------
 
+    def _all_entries(self, num_vars: int) -> Iterable[tuple]:
+        """Every variable's entry, built at C level: the even- and
+        odd-literal key columns are zipped with their negated literal
+        indices and ``max`` picks the better polarity — the same choice
+        :meth:`_entry` makes (equal keys fall to the ``-lit`` slot,
+        where the lower literal wins)."""
+        n = 2 * num_vars
+        keys = self._keys
+        even = zip(*[k[0:n:2] for k in keys], range(0, -n, -2))
+        odd = zip(*[k[1:n:2] for k in keys], range(-1, -n, -2))
+        return map(max, even, odd)
+
     def rebuild(self, variables: Iterable[int], num_vars: int) -> None:
         """Reset membership to ``variables`` and heapify in O(n)."""
-        self._pos = [-1] * num_vars
-        entry = self._entry
-        self._heap = [entry(var) for var in variables]
+        self._heap = list(map(self._entry, variables))
+        self._heapify(num_vars)
+
+    def rebuild_unassigned(self, truth: Sequence[int], num_vars: int) -> None:
+        """Reset membership to the variables whose literals are
+        unassigned in ``truth`` (the per-literal truth column, 2 =
+        unassigned) and heapify — the strategy attach path, with no
+        per-variable Python call."""
+        free = map((2).__eq__, truth[0:2 * num_vars:2])
+        self._heap = list(compress(self._all_entries(num_vars), free))
+        self._heapify(num_vars)
+
+    def _heapify(self, num_vars: int) -> None:
+        """Heap-order ``_heap`` in place and rebuild the position index.
+
+        Entries are distinct (each ends in its own ``-lit``), so the
+        comparator is a strict total order: every valid heap layout
+        pops the same sequence, whichever heapify produced it.
+        """
         heap = self._heap
-        pos = self._pos
-        n = len(heap)
-        for i in range(n // 2 - 1, -1, -1):
-            self._sift_down_free(i)
+        _heapify_max(heap)
+        pos = [-1] * num_vars
         for i, e in enumerate(heap):
             pos[(-e[-1]) >> 1] = i
+        self._pos = pos
 
     def set_key_arrays(self, key_arrays: Sequence[Sequence[float]]) -> None:
         """Swap the comparator (e.g. the dynamic ranked->VSIDS switch) and
@@ -237,25 +270,6 @@ class VariableActivityHeap:
             child = 2 * i + 1
         heap[i] = item
         pos[(-item[-1]) >> 1] = i
-
-    def _sift_down_free(self, i: int) -> None:
-        # Position-free variant used during heapify (positions are
-        # assigned in one pass afterwards).
-        heap = self._heap
-        n = len(heap)
-        item = heap[i]
-        child = 2 * i + 1
-        while child < n:
-            right = child + 1
-            if right < n and heap[right] > heap[child]:
-                child = right
-            c = heap[child]
-            if item >= c:
-                break
-            heap[i] = c
-            i = child
-            child = 2 * i + 1
-        heap[i] = item
 
     # -- introspection (tests) ----------------------------------------------
 

@@ -131,6 +131,18 @@ class ClauseArena:
         self.activity = array("d")
         self.dead_words = 0
 
+    def copy(self) -> "ClauseArena":
+        """An independent copy (every column copied at C speed) — how a
+        solver forked from an installed-prefix template gets its store."""
+        dup = ClauseArena.__new__(ClauseArena)
+        dup.storage = self.storage
+        dup.data = self.data[:]
+        dup.refs = self.refs[:]
+        dup.flags = self.flags[:]
+        dup.activity = self.activity[:]
+        dup.dead_words = self.dead_words
+        return dup
+
     # -- allocation --------------------------------------------------------
 
     def add(self, lits: Sequence[int], flags: int = 0,

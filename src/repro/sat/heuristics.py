@@ -57,7 +57,9 @@ can re-insert popped variables; scan strategies ignore it.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence
 
 from repro.sat.activity_heap import VariableActivityHeap
@@ -117,10 +119,32 @@ class DecisionStrategy(ABC):
 
     def __init__(self) -> None:
         self._solver: Optional["CdclSolver"] = None
+        # Weak reference to the solver of the last detach: enough to
+        # recognise a warm re-attach without keeping the solver alive.
+        self._last_solver: Optional["weakref.ref[CdclSolver]"] = None
 
     def attach(self, solver: "CdclSolver") -> None:
         """Bind to a solver; called once before solving starts."""
         self._solver = solver
+
+    def detach(self) -> None:
+        """Unbind at ``solve()`` exit.
+
+        ``solver.strategy -> strategy._solver -> solver`` is a reference
+        cycle; dropping the back edge when the search ends lets a
+        finished solver be freed by reference counting alone, instead
+        of lingering (with its arena and CDG) until a full cyclic
+        collection.  The next :meth:`attach` re-binds.
+        """
+        solver = self._solver
+        if solver is not None:
+            self._last_solver = weakref.ref(solver)
+            self._solver = None
+
+    def _reattaching(self, solver: "CdclSolver") -> bool:
+        """True when ``solver`` is the one this strategy last served."""
+        last = self._last_solver
+        return self._solver is solver or (last is not None and last() is solver)
 
     @abstractmethod
     def decide(self) -> int:
@@ -158,7 +182,7 @@ class _HeapOrderStrategy(DecisionStrategy):
     def attach(self, solver: "CdclSolver") -> None:
         if (
             self.persist_activity
-            and self._solver is solver
+            and self._reattaching(solver)
             and self._heap is not None
             and len(self._kscore) == 2 * solver.num_vars
         ):
@@ -167,12 +191,9 @@ class _HeapOrderStrategy(DecisionStrategy):
             # be rebuilt (assignments changed since the last detach),
             # and the key arrays re-installed — subclasses may have
             # rebuilt theirs (ranked keys) against the same solver.
-            truth = solver.lit_truth
+            self._solver = solver
             self._heap.set_key_arrays(self._key_arrays())
-            self._heap.rebuild(
-                (var for var in range(solver.num_vars) if truth[var + var] == 2),
-                solver.num_vars,
-            )
+            self._heap.rebuild_unassigned(solver.lit_truth, solver.num_vars)
             return
         super().attach(solver)
         # Keys MUST be floats: the scaled-score scheme is defined to
@@ -189,14 +210,10 @@ class _HeapOrderStrategy(DecisionStrategy):
         # matching the scan-order reference (fresh scores, but the decay
         # countdown carries over between solve() calls on one solver).
         self._heap = VariableActivityHeap(self._key_arrays())
-        num_vars = solver.num_vars
         # Root facts enqueued before the search starts (unit clauses,
         # incremental re-solves) are permanent: leave their variables
         # out of the heap instead of lazily discarding them later.
-        truth = solver.lit_truth
-        self._heap.rebuild(
-            (var for var in range(num_vars) if truth[var + var] == 2), num_vars
-        )
+        self._heap.rebuild_unassigned(solver.lit_truth, solver.num_vars)
 
     def _key_arrays(self) -> list:
         """Key arrays, most significant first; subclasses override."""
@@ -316,10 +333,14 @@ class RankedStrategy(_HeapOrderStrategy):
     def attach(self, solver: "CdclSolver") -> None:
         """Bind to a solver and compute the dynamic switch threshold."""
         self._switch_threshold = solver.num_original_literals() // self._switch_divisor
-        rank = self._var_rank
-        self._rank_keys = [
-            rank.get(lit >> 1, 0.0) for lit in range(2 * solver.num_vars)
-        ]
+        # Both literals of a variable share its rank: one C-level
+        # lookup per variable, written to the even and odd slots.
+        num_vars = solver.num_vars
+        per_var = list(map(self._var_rank.get, range(num_vars), repeat(0.0)))
+        keys = [0.0] * (2 * num_vars)
+        keys[0::2] = per_var
+        keys[1::2] = per_var
+        self._rank_keys = keys
         super().attach(solver)
 
     def _key_arrays(self) -> list:

@@ -37,6 +37,7 @@ same doubling policy).
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.sat.kernel.columns import ClauseLitMirror, WatchColumns
@@ -52,10 +53,18 @@ class BcpKernelBase:
     name = "base"
 
     def __init__(self, solver: "CdclSolver") -> None:
-        self.solver = solver
+        # Weak: the solver owns its kernels, and a strong back edge
+        # would make every solver a reference cycle that only the
+        # cyclic collector can free.
+        self._solver_ref = weakref.ref(solver)
         self.long = WatchColumns(2)
         self.bin = WatchColumns(2)
         self.tern = WatchColumns(3)
+
+    @property
+    def solver(self) -> "CdclSolver":
+        """The owning solver (held weakly)."""
+        return self._solver_ref()
 
     # -- sizing ------------------------------------------------------------
 
@@ -191,8 +200,13 @@ class AnalyzeKernelBase:
     name = "base"
 
     def __init__(self, solver: "CdclSolver") -> None:
-        self.solver = solver
+        self._solver_ref = weakref.ref(solver)  # weak: see BcpKernelBase
         self.mirror = ClauseLitMirror()
+
+    @property
+    def solver(self) -> "CdclSolver":
+        """The owning solver (held weakly)."""
+        return self._solver_ref()
 
     # -- mirror bookkeeping (no-ops for the pure-Python kernel) ------------
 

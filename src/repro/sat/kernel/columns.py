@@ -69,6 +69,21 @@ class WatchColumns:
 
     # -- sizing ------------------------------------------------------------
 
+    def copy_from(self, src: "WatchColumns", lit_capacity: int) -> None:
+        """Become a copy of ``src`` with the per-literal columns cut or
+        zero-padded to ``lit_capacity`` (a template fork; the pool is
+        copied verbatim, so its layout matches a cold install of the
+        same clauses).  ``on_resize`` stays this object's own."""
+        cb = self.on_resize
+        if cb is not None:
+            cb()
+        self.offs = src.offs[:lit_capacity]
+        self.size = src.size[:lit_capacity]
+        self.caps = src.caps[:lit_capacity]
+        self.data = src.data[:]
+        self.used = src.used
+        self.grow_lits(lit_capacity)
+
     def grow_lits(self, lit_capacity: int) -> None:
         """Extend the per-literal columns to ``lit_capacity`` literals
         (new literals start with no block: off 0, size 0, cap 0)."""
@@ -258,6 +273,13 @@ class ClauseLitMirror:
         self.synced = 0
         #: Dead words left behind by :meth:`free`.
         self.dead = 0
+
+    def copy_from(self, src: "ClauseLitMirror") -> None:
+        """Become an independent copy of ``src`` (a template fork)."""
+        self.data = src.data[:]
+        self.refs = src.refs[:]
+        self.synced = src.synced
+        self.dead = src.dead
 
     def sync(self, view: Sequence[Tuple[int, ...]]) -> None:
         """Mirror every clause installed since the last call."""

@@ -98,13 +98,19 @@ these; see ``benchmarks/solver_bench.py`` for the tracking numbers):
 
 from __future__ import annotations
 
+import gc
 import time
 from array import array
+from contextlib import contextmanager
+from itertools import chain
+from operator import attrgetter
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -392,6 +398,24 @@ class CdclSolver:
     VSIDS; the BMC layer passes
     :class:`~repro.sat.heuristics.RankedStrategy` instances to realise the
     paper's refined orderings.
+
+    Forking from an installed prefix: ``prefix`` is a *template* — a
+    solver that was never solved and was never given clauses except
+    through construction — holding the leading clauses of ``formula``
+    installed.  The constructor first extends the template, in place,
+    to ``formula``'s first ``prefix_clauses`` clauses (default: all of
+    them), then starts this solver as a copy of every installed
+    structure of the template and installs the remaining clauses
+    itself.  The result is identical, structure for structure, to a
+    solver that installed all of ``formula`` cold (install is a
+    deterministic left-to-right pass with no propagation, so the state
+    after clause ``i`` depends only on clauses ``0 .. i``); search
+    state — CDG, statistics, strategy — is this solver's own.  The BMC
+    engine keeps one template per run, so each depth pays for copying
+    the installed arrays plus installing its new frame instead of a
+    full re-install.  The template's configuration must agree with
+    ``config`` on every field that shapes installed state
+    (:data:`_INSTALL_FIELDS`).
     """
 
     def __init__(
@@ -399,6 +423,8 @@ class CdclSolver:
         formula: Optional[CnfFormula] = None,
         strategy: Optional[DecisionStrategy] = None,
         config: Optional[SolverConfig] = None,
+        prefix: Optional["CdclSolver"] = None,
+        prefix_clauses: Optional[int] = None,
     ) -> None:
         self._formula = formula if formula is not None else CnfFormula(0)
         self.config = config or SolverConfig()
@@ -592,7 +618,13 @@ class CdclSolver:
             else None
         )
         self._ok = True
+        # Antecedents of a root-level contradiction met while installing
+        # (None while consistent): a fork re-records them in its own CDG.
+        self._root_conflict: Optional[List[int]] = None
         self._solving = False
+        # True until the first solve()/add_clause: only such a solver
+        # may serve as an installed-prefix template.
+        self._pristine = True
         # Trace telemetry (repro.sat.trace): the active sink during a
         # traced solve(), else None.  _trace_mark is the trail position
         # up to which entries have been emitted as ENQUEUE events; the
@@ -639,8 +671,99 @@ class CdclSolver:
         self._published_stats: Dict[str, float] = {}
         self._published_profile: List[int] = [0] * NPROF
 
-        self.ensure_num_vars(self._formula.num_vars)
+        if prefix is None:
+            self.ensure_num_vars(self._formula.num_vars)
+        else:
+            with _collector_paused():
+                self._fork_prefix(prefix, prefix_clauses)
         self._install_initial()
+
+    # ------------------------------------------------------------------
+    # Installed-prefix templates (see the class docstring).
+    # ------------------------------------------------------------------
+
+    def _extend_prefix(self, formula: CnfFormula, count: int) -> None:
+        """Grow this template to ``formula``'s first ``count`` clauses,
+        whose leading part must be the clauses it already installed."""
+        if not self._pristine:
+            raise ValueError("an installed-prefix template must never be solved")
+        installed = len(self._arena.refs)
+        if not installed <= count <= formula.num_clauses:
+            raise ValueError(
+                f"template holds {installed} clauses; cannot extend it to "
+                f"{count} of a {formula.num_clauses}-clause formula"
+            )
+        if installed and (
+            formula.clause(installed - 1) != self._formula.clause(installed - 1)
+        ):
+            raise ValueError("formula does not extend the template's clauses")
+        self._formula = formula
+        self.ensure_num_vars(formula.num_vars)
+        self._install_initial(count)
+        if self._akernel is not None:
+            self._akernel.sync_mirror()
+
+    def _fork_prefix(self, prefix: "CdclSolver", count: Optional[int]) -> None:
+        """Start as a copy of ``prefix``'s installed state, after
+        extending it to ``count`` clauses of this solver's formula.
+
+        Every per-variable array is cut or padded to the capacity a cold
+        ``ensure_num_vars(num_vars)`` allocates, so the copy matches a
+        cold install array for array, not just up to ``num_vars``.
+        """
+        formula = self._formula
+        for name in _INSTALL_FIELDS:
+            if getattr(prefix.config, name) != getattr(self.config, name):
+                raise ValueError(
+                    f"template config differs in {name}: "
+                    f"{getattr(prefix.config, name)!r} != "
+                    f"{getattr(self.config, name)!r}"
+                )
+        if prefix.num_vars > formula.num_vars:
+            raise ValueError("template has more variables than the formula")
+        prefix._extend_prefix(
+            formula, formula.num_clauses if count is None else count
+        )
+        num_vars = formula.num_vars
+        cap = max(num_vars, 16) if num_vars else 0
+        lits = 2 * cap
+        kernel = self._kernel
+        self.num_vars = num_vars
+        self._var_capacity = cap
+        self.lit_truth = _fit(prefix.lit_truth, lits, 2)
+        self._levels = _fit(prefix._levels, cap, -1)
+        self._reasons = _fit(prefix._reasons, cap, -1)
+        self._lit_counts = _fit(prefix._lit_counts, lits, 0)
+        # Never written before the first search: fresh defaults.
+        self._saved_phase = [-1] * cap
+        self._seen = bytearray(cap)
+        self._lbd_stamp = array("i", bytes(4 * (cap + 1)))
+        self._trail_len = prefix._trail_len
+        if kernel is None:
+            self._trail = prefix._trail[:]
+            self._watches = _fit_table(prefix._watches, lits)
+            self._watches_bin = _fit_table(prefix._watches_bin, lits)
+            self._watches_tern = _fit_table(prefix._watches_tern, lits)
+        else:
+            self._trail = _fit(prefix._trail, cap, 0)
+            source = prefix._kernel
+            kernel.long.copy_from(source.long, lits)
+            kernel.bin.copy_from(source.bin, lits)
+            kernel.tern.copy_from(source.tern, lits)
+        if self._akernel is not None:
+            self._akernel.mirror.copy_from(prefix._akernel.mirror)
+        self._arena = prefix._arena.copy()
+        self._activity = self._arena.activity
+        self._lits_view = prefix._lits_view[:]
+        self._original_ids = prefix._original_ids[:]
+        self._original_id_set = prefix._original_id_set.copy()
+        self._num_original_literals = prefix._num_original_literals
+        self._root_unit_of = prefix._root_unit_of.copy()
+        self._root_pruned = prefix._root_pruned.copy()
+        self._pending_root_pruned = prefix._pending_root_pruned
+        self._pending_load_propagations = prefix._pending_load_propagations
+        if not prefix._ok:
+            self._mark_root_unsat(prefix._root_conflict)
 
     # ------------------------------------------------------------------
     # Incremental interface.
@@ -707,7 +830,12 @@ class CdclSolver:
         """
         if self._solving:
             raise RuntimeError("add_clause may not be called during solve()")
+        self._pristine = False
         self._backtrack(0)
+        self._check_literals(literals)
+        return self._install_clause(list(literals), initial=False)
+
+    def _check_literals(self, literals: Sequence[int]) -> None:
         for lit in literals:
             if lit < 0:
                 raise ValueError(f"bad packed literal {lit}")
@@ -716,7 +844,41 @@ class CdclSolver:
                     f"literal references variable {lit >> 1} >= num_vars "
                     f"{self.num_vars}; call new_var()/ensure_num_vars first"
                 )
-        return self._install_clause(list(literals), initial=False)
+
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> range:
+        """Add many original clauses at once; returns their IDs.
+
+        The result is the same as calling :meth:`add_clause` on each
+        clause in order — same IDs, same installed state — but the
+        batch is validated up front (nothing is installed when a literal
+        is bad) and goes through the bulk install loop instead of one
+        generic install per clause.  The incremental engines feed whole
+        frames through this.
+        """
+        if self._solving:
+            raise RuntimeError("add_clauses may not be called during solve()")
+        batch = list(map(tuple, clauses))
+        literals = list(chain.from_iterable(batch))
+        if literals and (
+            min(literals) < 0 or (max(literals) >> 1) >= self.num_vars
+        ):
+            for lits in batch:
+                self._check_literals(lits)
+        self._pristine = False
+        self._backtrack(0)
+        if self._akernel is not None:
+            # The bulk loop grows the arena the fused native step may
+            # hold views of (see _install_clause).
+            self._akernel.invalidate_views()
+        first = len(self._arena.refs)
+        ids = range(first, first + len(batch))
+        if self._cdg is not None:
+            # Registered before installing: a root contradiction met in
+            # the batch cites these clauses as CDG leaves.
+            for cid in ids:
+                self._cdg.register_original(cid)
+        self._install_bulk(batch)
+        return ids
 
     # ------------------------------------------------------------------
     # Learned-clause sharing (the portfolio subsystem's import/export
@@ -745,15 +907,9 @@ class CdclSolver:
                 "add_shared_clause may not be called during solve(); "
                 "set on_learned for mid-solve imports"
             )
+        self._pristine = False
         self._backtrack(0)
-        for lit in literals:
-            if lit < 0:
-                raise ValueError(f"bad packed literal {lit}")
-            if (lit >> 1) >= self.num_vars:
-                raise ValueError(
-                    f"literal references variable {lit >> 1} >= num_vars "
-                    f"{self.num_vars}; call new_var()/ensure_num_vars first"
-                )
+        self._check_literals(literals)
         cid = self._install_clause(
             list(literals), initial=False, count_literals=False
         )
@@ -796,8 +952,19 @@ class CdclSolver:
         """Clause IDs installed through the shared-clause import path."""
         return tuple(self._imported_ids)
 
-    def _install_initial(self) -> None:
+    def _install_initial(self, stop: Optional[int] = None) -> None:
         """Bulk-install the constructor formula.
+
+        Resumable: installation continues at clause ``len(arena.refs)``
+        (a fork starts with its template's clauses already in place)
+        and runs to ``stop`` (default: the end of the formula).
+        """
+        clauses = self._formula.clauses_between(len(self._arena.refs), stop)
+        self._install_bulk(map(_LITERALS, clauses))
+
+    def _install_bulk(self, clause_literals: Iterable[Tuple[int, ...]]) -> None:
+        """Install original clauses (literal tuples) in order, under
+        consecutive clause IDs from ``len(arena.refs)`` on.
 
         This is the hottest path of the *experiment* layer: every
         (strategy, depth) BMC run builds a fresh solver over the full
@@ -836,8 +1003,7 @@ class CdclSolver:
         # hoisted limit keeps the guard O(1) per clause.
         word_limit = arena.word_limit
         words = len(adata)
-        for clause in self._formula.clauses:
-            lits = clause.literals
+        for lits in clause_literals:
             n = len(lits)
             taut = False
             if n == 2:
@@ -1049,6 +1215,7 @@ class CdclSolver:
 
     def _mark_root_unsat(self, antecedents: Sequence[int]) -> None:
         self._ok = False
+        self._root_conflict = list(antecedents)
         if self._cdg is not None:
             self._cdg.set_final_conflict(antecedents)
 
@@ -2089,6 +2256,7 @@ class CdclSolver:
                 raise ValueError(f"bad assumption literal {lit}")
         if strategy is not None:
             self.strategy = strategy
+        self._pristine = False
         self._solving = True
         self._assumptions = list(assumptions)
         self.failed_assumptions = None
@@ -2121,6 +2289,9 @@ class CdclSolver:
                 trace.end(_TRACE_STATUS[outcome.status])
         finally:
             self._solving = False
+            # Break solver -> strategy -> solver so this solver can be
+            # freed by reference counting once its owner lets go.
+            self.strategy.detach()
             if self._akernel is not None:
                 # Release cached fused-step views so between-solve
                 # mutations (ensure_num_vars, add_clause) never hit a
@@ -2722,6 +2893,60 @@ class CdclSolver:
             final_antecedents=self._cdg.final_antecedents,
             extra_originals=extra_originals,
         )
+
+
+_LITERALS = attrgetter("literals")
+
+#: SolverConfig fields that shape installed state: a template and its
+#: forks must agree on them (the data plane, the arena store, and
+#: whether install skips root-satisfied clauses).
+_INSTALL_FIELDS = (
+    "bcp_backend",
+    "analyze_backend",
+    "arena_storage",
+    "prune_root_satisfied",
+)
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Suspend the cyclic garbage collector around a template fork.
+
+    A fork allocates tens of thousands of containers in one burst (one
+    watch list per literal on the legacy plane) and none of them can
+    form a cycle: lists of tuples of ints, sets of ints, a dict of
+    tuples.  Left on, the collector runs a young-generation pass every
+    700 allocations; over the 21 depths of a 10k-variable Table-1 row
+    that came to about 60 passes per fork and a full pass (every live
+    object traversed) every other fork, all looking for garbage that
+    cannot exist here.  Paused, the new objects are examined once, at
+    the first collection after the fork.  Reference counting is
+    unaffected, so nothing is freed later than it would be.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _fit(column, size: int, fill: int):
+    """A copy of ``column`` cut or padded (with ``fill``) to ``size``."""
+    out = column[:size]
+    if len(out) < size:
+        out.extend([fill] * (size - len(out)))
+    return out
+
+
+def _fit_table(table: List[list], size: int) -> List[list]:
+    """A copy of a per-literal watch table (each list copied) cut or
+    padded with empty lists to ``size`` literals."""
+    out = list(map(list.copy, table[:size]))
+    out.extend([] for _ in range(size - len(out)))
+    return out
 
 
 def _is_tautology(lits: Sequence[int]) -> bool:

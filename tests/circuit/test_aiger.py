@@ -139,3 +139,48 @@ class TestWriteRoundtrip:
         c1.set_output("o", q)
         c2 = parse_aiger(aiger_str(c1))
         assert c2.init_of(c2.latches[0]) is None
+
+
+class TestMutationRobustness:
+    """Seeded byte-level mutants of one Table-1 circuit: a mutant is
+    either parsed (and then survives a write/parse round trip) or
+    rejected with :class:`AigerError` — never a raw ``ValueError``,
+    ``IndexError`` or the like."""
+
+    def test_badly_formed_integer_tokens(self):
+        for bad in ("aag 3 1 1 1 1\n2\n4 6 0\n4\n6 2 4a\n",
+                    "aag 3 1 1 1 1\n2\n4 6x 0\n4\n6 2 4\n",
+                    "aag 3 1 1 1 1\n+2\n4 6 0\n4\n6 2 4\n",
+                    "aag 3 1 1 1 1\n2\n4 6 0\n-4\n6 2 4\n",
+                    "aag 3 1 1 1 1z\n2\n4 6 0\n4\n6 2 4\n"):
+            with pytest.raises(AigerError):
+                parse_aiger(bad)
+
+    def test_seeded_byte_mutants_fail_cleanly(self):
+        import random
+
+        from repro.workloads import instance_by_name
+
+        circuit, _ = instance_by_name("01_b").build()
+        text = aiger_str(circuit).encode()
+        rng = random.Random(20040607)
+        accepted = rejected = 0
+        for _ in range(600):
+            data = bytearray(text)
+            for _ in range(rng.randint(1, 4)):
+                pos = rng.randrange(len(data))
+                op = rng.randrange(3)
+                if op == 0:
+                    data[pos] = rng.randrange(256)
+                elif op == 1:
+                    del data[pos]
+                else:
+                    data.insert(pos, rng.randrange(256))
+            try:
+                parsed = parse_aiger(bytes(data).decode("latin-1"))
+            except AigerError:
+                rejected += 1
+                continue
+            accepted += 1
+            parse_aiger(aiger_str(parsed)).validate()
+        assert accepted and rejected

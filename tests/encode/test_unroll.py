@@ -211,3 +211,67 @@ class TestVarFrames:
         instance = Unroller(c, prop).instance(1)
         with pytest.raises(ValueError):
             instance.lit_of(en, 5)
+
+
+def _per_clause_assembly(unroller, k):
+    """The instance as it was assembled before slice sharing: every
+    clause re-validated through ``CnfFormula.add_clause``."""
+    from repro.cnf import CnfFormula
+    from repro.cnf.literals import lit_neg
+    from repro.encode.unroll import ClauseOrigin
+
+    num_clauses = unroller.clause_watermark(k)
+    formula = CnfFormula(unroller.var_watermark(k))
+    for index in range(num_clauses):
+        formula.add_clause(unroller.clauses_since(index, index + 1)[0][0])
+    origins = [unroller.origin_of_clause(i) for i in range(num_clauses)]
+    prop_index = formula.add_clause(
+        [lit_neg(unroller.lit_of(unroller.property_net, k))]
+    )
+    origins.append(ClauseOrigin("property", unroller.property_net, k))
+    return formula, origins, prop_index
+
+
+class TestSliceAssembly:
+    @pytest.mark.parametrize("row", ["01_b", "03_b", "17_1_b2"])
+    def test_instance_equals_per_clause_assembly(self, row):
+        from repro.workloads import instance_by_name
+
+        circuit, prop = instance_by_name(row).build()
+        unroller = Unroller(circuit, prop)
+        reference = Unroller(circuit, prop)
+        for k in range(0, 10):
+            instance = unroller.instance(k)
+            formula, origins, prop_index = _per_clause_assembly(reference, k)
+            assert instance.formula.num_vars == formula.num_vars
+            assert instance.formula.clauses == formula.clauses
+            assert instance.origins == origins
+            assert instance.property_clause_index == prop_index
+            sliced, sliced_origins = unroller.formula_up_to(k)
+            assert sliced.num_vars == formula.num_vars
+            assert sliced.clauses == formula.clauses[:prop_index]
+            assert sliced_origins == origins[:prop_index]
+
+    def test_instances_do_not_alias_each_other(self):
+        c, _, _, prop = toggle_circuit()
+        unroller = Unroller(c, prop)
+        first = unroller.instance(2)
+        clauses = first.formula.clauses
+        unroller.instance(3)
+        first.formula.add_clause([0])
+        assert unroller.instance(2).formula.clauses == clauses
+
+    def test_corrupt_frame_clause_is_rejected(self, monkeypatch):
+        import repro.encode.unroll as unroll
+
+        c, _, _, prop = toggle_circuit()
+        real = unroll.gate_clauses
+
+        def corrupt(op, out_var, fanin_lits):
+            clauses = list(real(op, out_var, fanin_lits))
+            clauses.append((2 * (out_var + 1000),))
+            return clauses
+
+        monkeypatch.setattr(unroll, "gate_clauses", corrupt)
+        with pytest.raises(ValueError, match="references variable"):
+            Unroller(c, prop).instance(0)

@@ -16,7 +16,11 @@ implication/xor chains), and each result is cross-checked three ways:
   same solver configuration;
 * the two clause-arena element stores (``arena_storage="fast"`` vs
   ``"compact"``) must run *search-identical* solves: same verdict,
-  same decisions/propagations/conflicts/learned counts, same model.
+  same decisions/propagations/conflicts/learned counts, same model;
+* a solver forked from an installed-prefix template (``CdclSolver(...,
+  prefix=..., prefix_clauses=...)``, the template extended at two
+  seeded cuts) must run the same search as the cold install, core
+  included.
 
 Seed derivation (documented in ``benchmarks/solver_bench.py``): the
 instance with index ``i`` is generated from
@@ -321,6 +325,41 @@ def run_one(index: int):
         assert compact_outcome.model == outcome.model, (
             f"{ctx}: compact arena model differs"
         )
+
+    # Template-fork leg: a solver forked from an installed-prefix
+    # template (extended in two steps, at seeded cuts) must run the
+    # exact same search as the cold install above.
+    cut_rng = random.Random(FUZZ_SEED + index + 2_000_000)
+    second_cut = cut_rng.randint(0, formula.num_clauses)
+    first_cut = cut_rng.randint(0, second_cut)
+    template = CdclSolver(config=replace(config, record_cdg=False))
+    CdclSolver(formula, config=config, prefix=template, prefix_clauses=first_cut)
+    rng_fork = random.Random(FUZZ_SEED + index + 1_000_000)
+    production_fork, _ = _strategy_pairs(rng_fork, formula.num_vars, strategy_kind)
+    fork_outcome = CdclSolver(
+        formula,
+        strategy=production_fork,
+        config=config,
+        prefix=template,
+        prefix_clauses=second_cut,
+    ).solve()
+    assert (
+        fork_outcome.status,
+        fork_outcome.stats.decisions,
+        fork_outcome.stats.propagations,
+        fork_outcome.stats.conflicts,
+        fork_outcome.stats.learned_clauses,
+        fork_outcome.model,
+        fork_outcome.core_clauses,
+    ) == (
+        outcome.status,
+        outcome.stats.decisions,
+        outcome.stats.propagations,
+        outcome.stats.conflicts,
+        outcome.stats.learned_clauses,
+        outcome.model,
+        outcome.core_clauses,
+    ), f"{ctx}: template fork (cuts {first_cut}, {second_cut}) diverged"
 
     # Backend legs (PR 7): every enabled BCP kernel must run the exact
     # same search as the legacy tuple-table loop — the kernels are a

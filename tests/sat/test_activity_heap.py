@@ -269,3 +269,54 @@ class TestSearchEquivalence:
                     )
                 per_engine.append(seen)
             assert per_engine[0] == per_engine[1]
+
+
+class TestBulkRebuild:
+    """``rebuild_unassigned`` (the attach path: entries built at C level,
+    C heapify) must pop exactly the sequence the per-variable
+    ``rebuild`` pops — the layouts may differ, the order may not."""
+
+    def _drain(self, heap):
+        out = []
+        while len(heap):
+            out.append(heap.pop())
+        return out
+
+    def test_pop_sequence_matches_per_variable_rebuild(self):
+        rng = random.Random(20040607)
+        for trial in range(200):
+            n = rng.randint(0, 80)
+            nkeys = rng.choice((1, 2, 3))
+            keys = [
+                [float(rng.randint(0, 4)) for _ in range(2 * n)]
+                for _ in range(nkeys)
+            ]
+            truth = bytearray(2 * n)
+            for var in range(n):
+                value = rng.choice((2, 2, 2, 0, 1))
+                truth[2 * var] = value
+                truth[2 * var + 1] = value if value == 2 else 1 - value
+            free = [v for v in range(n) if truth[2 * v] == 2]
+            bulk = VariableActivityHeap(keys)
+            bulk.rebuild_unassigned(truth, n)
+            assert bulk.check_invariant()
+            reference = VariableActivityHeap(keys)
+            reference.rebuild(free, n)
+            assert sorted(bulk._heap) == sorted(reference._heap)
+            # Interleave key growth and pushes, then drain both.
+            for _ in range(rng.randint(0, 20)):
+                if not n:
+                    break
+                lit = rng.randrange(2 * n)
+                keys[0][lit] += rng.randint(1, 3)
+                bulk.increase(lit)
+                reference.increase(lit)
+            assert self._drain(bulk) == self._drain(reference)
+
+    def test_entries_equal_reference_entries(self):
+        rng = random.Random(7)
+        n = 50
+        keys = [[float(rng.randint(0, 2)) for _ in range(2 * n)] for _ in range(2)]
+        heap = VariableActivityHeap(keys)
+        heap.rebuild_unassigned([2] * (2 * n), n)
+        assert sorted(heap._heap) == sorted(best_entry(keys, v) for v in range(n))
