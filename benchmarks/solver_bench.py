@@ -15,12 +15,15 @@ inner loops from the BMC layer:
   bookkeeping over fixed work.
 * ``decision_overhead`` — PR 3's decision-engine microbenchmark, see
   below.
-* ``kernel_bcp`` / ``kernel_analyze`` — the pluggable-kernel planes
-  (PR 7 / PR 9) measured across every available backend side by side:
-  the pure-BCP ladder per propagation backend, and the conflict-heavy
-  PHP kernel per conflict-analysis backend (with the fused native
-  propagate-then-analyze step), each reporting throughput ratios
-  against the legacy in-solver loops of the same run.
+* ``kernel_bcp`` / ``kernel_analyze`` — the two data planes measured
+  side by side: the pure-BCP ladder and the conflict-heavy PHP kernel
+  (the native plane running its fused propagate-then-analyze step),
+  each reporting the native plane's throughput ratio against the
+  python plane of the same run.
+
+Every workload runs on the python plane unless ``--backend`` says
+otherwise (the smoke gate always uses it): it exists on every host, so
+the gated ratios stay host-independent.
 
 Each sample also reports conflict-analysis quality: learned-clause
 counts, mean learned-clause length (pre- and post-minimization), and how
@@ -115,20 +118,10 @@ from repro.sat import (
     VsidsStrategy,
 )
 
-#: Clause-arena element store applied to every workload config
-#: (``--arena-storage``; see ``SolverConfig.arena_storage``).
-ARENA_STORAGE = "fast"
-
-#: BCP backend applied to every workload config (``--bcp-backend``;
-#: see ``SolverConfig.bcp_backend``).  The ``kernel_bcp`` workload
-#: ignores this and measures all backends side by side.
-BCP_BACKEND = "legacy"
-
-#: Conflict-analysis backend applied to every workload config
-#: (``--analyze-backend``; see ``SolverConfig.analyze_backend``).  The
-#: ``kernel_analyze`` workload ignores this and measures all backends
-#: side by side.
-ANALYZE_BACKEND = "legacy"
+#: Solver backend applied to every workload config (``--backend``; see
+#: ``SolverConfig.backend``).  The ``kernel_bcp``/``kernel_analyze``
+#: workloads ignore this and measure both planes side by side.
+BACKEND = "python"
 
 
 def implication_ladder(length: int) -> CnfFormula:
@@ -218,10 +211,7 @@ def measure_workload(name: str, repeat: int) -> Dict[str, float]:
     for _ in range(repeat):
         spec = WORKLOADS[name]()
         formula, config = spec[0], spec[1]
-        config = replace(
-            config, arena_storage=ARENA_STORAGE, bcp_backend=BCP_BACKEND,
-            analyze_backend=ANALYZE_BACKEND,
-        )
+        config = replace(config, backend=BACKEND)
         strategy = spec[2]() if len(spec) > 2 else None
         solver = CdclSolver(formula, strategy=strategy, config=config)
         gc.collect()
@@ -321,9 +311,7 @@ def measure_portfolio_race(repeat: int) -> Dict[str, float]:
     def formula():
         return pigeonhole(PORTFOLIO_HOLES)
 
-    base = replace(
-        SolverConfig(record_cdg=False), arena_storage=ARENA_STORAGE
-    )
+    base = SolverConfig(record_cdg=False, backend=BACKEND)
     solo_best = None
     for member in PORTFOLIO_MEMBERS:
         for _ in range(repeat):
@@ -402,23 +390,22 @@ def measure_portfolio_race(repeat: int) -> Dict[str, float]:
 
 
 def measure_kernel_bcp(repeat: int) -> Dict[str, float]:
-    """The ``kernel_bcp`` workload: the pure-BCP ladder under every
-    available propagation backend, side by side.
+    """The ``kernel_bcp`` workload: the pure-BCP ladder on both planes,
+    side by side.
 
     The searches are byte-identical (pinned by the differential
-    fuzzer's backend legs), so the per-backend rates are the same work
-    at different data-plane costs and their ratios are
+    fuzzer's backend legs), so the per-plane rates are the same work
+    at different data-plane costs and their ratio is
     hardware-independent.  Reported:
 
-    * ``propagations_per_sec`` — the *python* kernel's rate.  This is
-      the smoke-gated metric: normalized by the same run's legacy
-      ``bcp_ladder`` rate it guards the flat-column kernel staying
-      within a constant factor of the tuple-table loop.
-    * ``python_vs_legacy`` / ``native_vs_legacy`` — throughput ratios
-      against the legacy loop measured in this same run (the PR 7
-      acceptance bars: python >= 0.9x, native >= 2.0x).
-      ``native_vs_legacy`` is 0.0 on hosts that cannot build the
-      native kernel (no cffi / no C compiler) — reported, not failed.
+    * ``propagations_per_sec`` — the python plane's rate with
+      ``check_model`` off.  This is the smoke-gated metric: normalized
+      by the same run's ``bcp_ladder`` rate it guards the bare
+      propagation loop against everything else a solve costs.
+    * ``native_vs_python`` — the native plane's throughput against the
+      python plane measured in this same run.  0.0 on hosts that
+      cannot build the native kernel (no cffi / no C compiler) —
+      reported, not failed.
     * ``trace_on_propagations_per_sec`` / ``trace_overhead`` — the same
       python-kernel workload with binary trace telemetry
       (``SolverConfig.trace_path``, PR 8) writing to a temp file, and
@@ -443,7 +430,7 @@ def measure_kernel_bcp(repeat: int) -> Dict[str, float]:
     from repro.metrics import MetricsRegistry
     from repro.sat.kernel import native_available
 
-    backends = ["legacy", "python"]
+    backends = ["python"]
     if native_available():
         backends.append("native")
     legs = backends + ["trace", "metrics"]
@@ -464,8 +451,7 @@ def measure_kernel_bcp(repeat: int) -> Dict[str, float]:
                 # every backend's rate by the same additive constant.
                 config = replace(
                     SolverConfig(record_cdg=False, check_model=False),
-                    arena_storage=ARENA_STORAGE,
-                    bcp_backend=backend,
+                    backend=backend,
                     trace_path=tmp.name if leg == "trace" else None,
                     metrics=MetricsRegistry() if leg == "metrics" else None,
                     profile_access=(leg == "metrics"),
@@ -496,7 +482,6 @@ def measure_kernel_bcp(repeat: int) -> Dict[str, float]:
     finally:
         trace_bytes = rates.get("trace", {}).get("trace_bytes", 0.0)
         os.unlink(tmp.name)
-    legacy_rate = rates["legacy"]["propagations_per_sec"]
     python_rate = rates["python"]["propagations_per_sec"]
     native_rate = rates.get("native", {}).get("propagations_per_sec", 0.0)
     trace_rate = rates["trace"]["propagations_per_sec"]
@@ -511,10 +496,8 @@ def measure_kernel_bcp(repeat: int) -> Dict[str, float]:
         "propagations": rates["python"]["propagations"],
         "decisions_per_sec": 0.0,
         "propagations_per_sec": python_rate,
-        "legacy_propagations_per_sec": legacy_rate,
         "native_propagations_per_sec": native_rate,
-        "python_vs_legacy": python_rate / legacy_rate if legacy_rate else 0.0,
-        "native_vs_legacy": native_rate / legacy_rate if legacy_rate else 0.0,
+        "native_vs_python": native_rate / python_rate if python_rate else 0.0,
         "native_available": float(native_rate > 0.0),
         "trace_on_propagations_per_sec": trace_rate,
         "trace_overhead": trace_rate / python_rate if python_rate else 0.0,
@@ -542,25 +525,23 @@ ANALYZE_CONFLICTS = 8000
 
 
 def _measure_analyze_split() -> Dict[str, float]:
-    """One instrumented legacy solve of the ``kernel_analyze`` instance:
-    wrap ``_propagate`` and ``_analyze`` with wall-clock accumulators to
-    report how the solve splits between propagation, first-UIP analysis
-    and everything else (decide / backtrack / install).  The per-call
+    """One instrumented python-plane solve of the ``kernel_analyze``
+    instance: wrap the kernels' ``propagate`` and ``analyze`` with
+    wall-clock accumulators to report how the solve splits between
+    propagation, the first-UIP walk and everything else (decide /
+    backtrack / install / the analysis tail).  The per-call
     ``perf_counter`` overhead inflates the instrumented wall time, so
     the fractions are reported from this solve while the throughput
     legs time clean solves."""
     formula = pigeonhole(ANALYZE_HOLES)
-    config = replace(
-        SolverConfig(
-            record_cdg=False, check_model=False,
-            max_conflicts=ANALYZE_CONFLICTS,
-        ),
-        arena_storage=ARENA_STORAGE,
+    config = SolverConfig(
+        record_cdg=False, check_model=False,
+        max_conflicts=ANALYZE_CONFLICTS, backend="python",
     )
     solver = CdclSolver(formula, config=config)
     acc = {"propagate": 0.0, "analyze": 0.0}
-    orig_propagate = solver._propagate
-    orig_analyze = solver._analyze
+    orig_propagate = solver._kernel.propagate
+    orig_analyze = solver._akernel.analyze
 
     def timed_propagate():
         start = time.perf_counter()
@@ -574,8 +555,8 @@ def _measure_analyze_split() -> Dict[str, float]:
         acc["analyze"] += time.perf_counter() - start
         return result
 
-    solver._propagate = timed_propagate
-    solver._analyze = timed_analyze
+    solver._kernel.propagate = timed_propagate
+    solver._akernel.analyze = timed_analyze
     start = time.perf_counter()
     solver.solve()
     total = time.perf_counter() - start
@@ -586,52 +567,42 @@ def _measure_analyze_split() -> Dict[str, float]:
 
 
 def measure_kernel_analyze(repeat: int) -> Dict[str, float]:
-    """The ``kernel_analyze`` workload: the conflict-heavy PHP kernel
-    under every available conflict-analysis backend, side by side.
+    """The ``kernel_analyze`` workload: the conflict-heavy PHP kernel on
+    both planes, side by side.
 
     The searches are byte-identical (pinned by the differential
-    fuzzer's analysis legs), so the per-backend *conflict* rates are
-    the same first-UIP work at different plane costs.  Three legs:
+    fuzzer's backend legs), so the per-plane *conflict* rates are the
+    same first-UIP work at different plane costs.  Two legs:
 
-    * ``legacy`` — the in-solver ``_propagate``/``_analyze`` loops.
-    * ``python`` — ``analyze_backend="python"`` over the legacy data
-      plane: the seam's pure-Python kernel.  Its conflict throughput is
-      the smoke-gated metric (bar: >= 0.9x legacy, BCP-normalized).
-    * ``native`` — the fused plane (``bcp_backend="native"`` +
-      ``analyze_backend="native"``): one FFI call propagates and, on
+    * ``python`` — the pure-Python plane.  Its conflict throughput is
+      the smoke-gated metric (BCP-normalized).
+    * ``native`` — the fused plane: one FFI call propagates and, on
       conflict, runs first-UIP without re-crossing the boundary.
-      ``native_vs_legacy`` is the PR acceptance bar (>= 2.0x conflict
-      throughput), reported-not-gated so CI hosts without a C compiler
-      pass cleanly (0.0 when the kernel cannot build).
+      ``native_vs_python`` is reported, not gated, so CI hosts without
+      a C compiler pass cleanly (0.0 when the kernel cannot build).
 
     ``propagate_wall_fraction`` / ``analyze_wall_fraction`` report the
-    legacy solve's propagate-vs-analyze wall split (from one
-    instrumented solve; see :func:`_measure_analyze_split`) — the
-    ceiling on what any analysis-plane-only speedup can deliver.
+    python solve's propagate-vs-walk wall split (from one instrumented
+    solve; see :func:`_measure_analyze_split`).
     """
     import gc
 
     from repro.sat.kernel import native_available
 
-    legs = [("legacy", "legacy", "legacy"), ("python", "legacy", "python")]
+    legs = ["python"]
     if native_available():
-        legs.append(("native", "native", "native"))
+        legs.append("native")
     rates: Dict[str, Dict[str, float]] = {}
     # Back-to-back legs per round (same rationale as kernel_bcp): load
     # drift hits every backend of a round alike.
     for _ in range(max(repeat, 5)):
-        for leg, bcp, analyze in legs:
+        for leg in legs:
             formula = pigeonhole(ANALYZE_HOLES)
             # check_model=False: the budget-capped solve ends UNKNOWN
             # and the workload isolates the conflict pipeline anyway.
-            config = replace(
-                SolverConfig(
-                    record_cdg=False, check_model=False,
-                    max_conflicts=ANALYZE_CONFLICTS,
-                ),
-                arena_storage=ARENA_STORAGE,
-                bcp_backend=bcp,
-                analyze_backend=analyze,
+            config = SolverConfig(
+                record_cdg=False, check_model=False,
+                max_conflicts=ANALYZE_CONFLICTS, backend=leg,
             )
             solver = CdclSolver(formula, config=config)
             gc.collect()
@@ -660,7 +631,7 @@ def measure_kernel_analyze(repeat: int) -> Dict[str, float]:
          r["learned_clauses"])
         for r in rates.values()
     }
-    assert len(work) == 1, f"analysis backends diverged: {rates}"
+    assert len(work) == 1, f"planes diverged: {rates}"
     split = _measure_analyze_split()
 
     def conflict_rate(leg: str) -> float:
@@ -669,7 +640,6 @@ def measure_kernel_analyze(repeat: int) -> Dict[str, float]:
             return 0.0
         return sample["conflicts"] / sample["time_s"]
 
-    legacy_rate = conflict_rate("legacy")
     python_rate = conflict_rate("python")
     native_rate = conflict_rate("native")
     python_sample = rates["python"]
@@ -687,10 +657,8 @@ def measure_kernel_analyze(repeat: int) -> Dict[str, float]:
             if python_sample["time_s"] else 0.0
         ),
         "conflicts_per_sec": python_rate,
-        "legacy_conflicts_per_sec": legacy_rate,
         "native_conflicts_per_sec": native_rate,
-        "python_vs_legacy": python_rate / legacy_rate if legacy_rate else 0.0,
-        "native_vs_legacy": native_rate / legacy_rate if legacy_rate else 0.0,
+        "native_vs_python": native_rate / python_rate if python_rate else 0.0,
         "native_available": float(native_rate > 0.0),
         "propagate_wall_fraction": split["propagate"],
         "analyze_wall_fraction": split["analyze"],
@@ -737,10 +705,9 @@ def run_bench(repeat: int) -> Dict[str, Dict[str, float]]:
             line += (f"  race x{sample['race_speedup']:.2f} vs best single  "
                      f"hit-rate {sample['sharing_hit_rate']:.2f}  "
                      f"winner {sample['winner']}")
-        if "python_vs_legacy" in sample:
-            line += f"  python x{sample['python_vs_legacy']:.2f} vs legacy"
+        if "native_vs_python" in sample:
             if sample.get("native_available"):
-                line += f"  native x{sample['native_vs_legacy']:.2f} vs legacy"
+                line += f"  native x{sample['native_vs_python']:.2f} vs python"
             else:
                 line += "  (native kernel unavailable here)"
         if "trace_overhead" in sample:
@@ -756,10 +723,10 @@ def run_bench(repeat: int) -> Dict[str, Dict[str, float]]:
 
 
 #: Workloads the CI smoke gate guards, each with the rate field it is
-#: judged on: the conflict-analysis-bound pair (propagation throughput,
-#: ISSUE 2) plus the decision-engine kernel (decision throughput,
-#: ISSUE 4) — all normalized by the same run's ``bcp_ladder``
-#: propagation rate so the checked-in baseline stays
+#: judged on: the conflict-analysis-bound pair (propagation
+#: throughput) plus the decision-engine kernel (decision throughput) —
+#: all measured on the python plane and normalized by the same run's
+#: ``bcp_ladder`` propagation rate so the checked-in baseline stays
 #: hardware-independent.
 SMOKE_WORKLOADS = (
     ("random_3cnf", "propagations_per_sec"),
@@ -770,19 +737,15 @@ SMOKE_WORKLOADS = (
     # re-entry, clause bus, import installation), so a regression in
     # any of those shows up here even though the verdict stays right.
     ("portfolio_race", "propagations_per_sec"),
-    # The flat-column python BCP kernel on the pure-BCP ladder (PR 7):
-    # normalized by the legacy ``bcp_ladder`` rate of the same run,
-    # this guards the kernel data plane staying within a constant
-    # factor of the tuple-table loop.  The native kernel's ratio is
-    # reported in the JSON but not gated — CI hosts without a C
-    # compiler must pass cleanly.
+    # The python BCP kernel on the bare pure-BCP ladder
+    # (check_model off): guards the propagation loop itself.  The
+    # native plane's ratio is reported in the JSON but not gated — CI
+    # hosts without a C compiler must pass cleanly.
     ("kernel_bcp", "propagations_per_sec"),
-    # The seam's python conflict-analysis kernel on the conflict-heavy
-    # PHP kernel (PR 9): BCP-normalized conflict throughput guards the
-    # analysis seam (mirror sync, kernel dispatch, bump replay) staying
-    # within a constant factor of the inline legacy loop.  The fused
-    # native ratio is reported in the JSON but not gated — CI hosts
-    # without a C compiler must pass cleanly.
+    # The python plane on the conflict-heavy PHP kernel:
+    # BCP-normalized conflict throughput guards the analysis seam
+    # (kernel dispatch, bump replay, the Python tail).  The fused
+    # native ratio is reported in the JSON but not gated.
     ("kernel_analyze", "conflicts_per_sec"),
 )
 
@@ -857,8 +820,7 @@ DEFAULT_HISTORY = os.path.join(
 _HISTORY_RATIO_METRICS = (
     "trace_overhead",
     "metrics_overhead",
-    "python_vs_legacy",
-    "native_vs_legacy",
+    "native_vs_python",
     "race_speedup",
     "sharing_hit_rate",
     "trace_bytes_per_event",
@@ -952,33 +914,19 @@ def main(argv=None) -> int:
         help="allowed fractional regression in smoke mode (default 0.20)",
     )
     parser.add_argument(
-        "--arena-storage", choices=("fast", "compact"), default="fast",
-        help="clause-arena element store for every workload "
-             "(search-identical; 'compact' is array('i') words)",
-    )
-    parser.add_argument(
-        "--bcp-backend", choices=("legacy", "python", "native"),
-        default="legacy",
-        help="BCP backend for every workload (search-identical; "
-             "'native' needs cffi + a C compiler).  The kernel_bcp "
-             "workload always measures all available backends.",
-    )
-    parser.add_argument(
-        "--analyze-backend", choices=("legacy", "python", "native"),
-        default="legacy",
-        help="conflict-analysis backend for every workload "
-             "(search-identical).  The kernel_analyze workload always "
-             "measures all available backends.",
+        "--backend", choices=("auto", "python", "native"), default="python",
+        help="solver backend for every workload of a full run "
+             "(search-identical; 'native' needs cffi + a C compiler).  "
+             "The kernel_bcp/kernel_analyze workloads always measure "
+             "both planes, and --smoke always runs on python.",
     )
     args = parser.parse_args(argv)
-    global ARENA_STORAGE, BCP_BACKEND, ANALYZE_BACKEND
-    ARENA_STORAGE = args.arena_storage
-    BCP_BACKEND = args.bcp_backend
-    ANALYZE_BACKEND = args.analyze_backend
+    global BACKEND
 
     if args.smoke:
         return run_smoke(args.baseline or args.output, args.smoke_threshold,
                          args.repeat)
+    BACKEND = args.backend
 
     after = run_bench(args.repeat)
     payload = {"after": after}

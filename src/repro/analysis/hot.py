@@ -1,7 +1,7 @@
 """HOT rules — the ``# solcheck: hot`` inner-loop registry.
 
-PRs 1–4 bought the solver's speed by hand: every name used in
-``_propagate``'s inner loop is a hoisted local, conflict analysis
+PRs 1–4 bought the solver's speed by hand: every name used in the
+propagation loop is a hoisted local, conflict analysis
 allocates no per-conflict containers (persistent scratch arrays), and
 nothing wraps the loop bodies in exception machinery.  Those wins
 evaporate silently — one re-introduced ``self.`` lookup per literal

@@ -145,6 +145,14 @@ class BmcEngine:
         #: run ends.
         self._template: Optional[CdclSolver] = None
 
+    # Subclass hook: the decision strategy for depth ``k``.  A subclass
+    # overrides this rather than passing a bound method of itself as
+    # ``strategy_factory``: that would make every engine a reference
+    # cycle, and its unrolling garbage until a full collection.
+    def make_strategy(self, instance: BmcInstance, k: int) -> DecisionStrategy:
+        """Default: ``strategy_factory(instance, k)``."""
+        return self.strategy_factory(instance, k)
+
     # Subclass hook: called after each UNSAT depth with its outcome.
     def on_unsat(self, k: int, instance: BmcInstance, outcome: SolveOutcome) -> None:
         """Default: nothing (standard BMC learns nothing across depths)."""
@@ -159,7 +167,7 @@ class BmcEngine:
         strategies per depth — while the depth loop, budgets, statistics
         and trace handling in :meth:`run` stay shared.
         """
-        strategy = self.strategy_factory(instance, k)
+        strategy = self.make_strategy(instance, k)
         config = self.solver_config
         if self.trace_dir is not None:
             stem = os.path.join(self.trace_dir, f"{self.trace_name}_d{k:03d}")

@@ -57,7 +57,7 @@ def feed_frames(solver: CdclSolver, unroller: Unroller, k: int, fed: int) -> int
     stop = unroller.clause_watermark(k)
     solver.ensure_num_vars(unroller.var_watermark(k))
     solver.add_clauses(
-        clause.literals for clause, _origin in unroller.clauses_since(fed, stop)
+        clause.literals for clause in unroller.clauses_between(fed, stop)
     )
     return stop
 

@@ -88,7 +88,7 @@ class MultiPropertyBmc:
         self._solver.ensure_num_vars(self.unroller.num_encoded_vars)
         self._solver.add_clauses(
             clause.literals
-            for clause, _origin in self.unroller.clauses_since(self._clauses_fed)
+            for clause in self.unroller.clauses_between(self._clauses_fed)
         )
         self._clauses_fed = self.unroller.num_encoded_clauses
 

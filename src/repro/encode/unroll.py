@@ -278,6 +278,13 @@ class Unroller:
         those early would change search behaviour."""
         return list(zip(self._clauses[index:stop], self._origins[index:stop]))
 
+    def clauses_between(
+        self, index: int, stop: Optional[int] = None
+    ) -> List[Clause]:
+        """The clauses :meth:`clauses_since` covers, without provenance
+        (a list slice: feeding a solver allocates nothing per clause)."""
+        return self._clauses[index:stop]
+
     def clause_watermark(self, k: int) -> int:
         """Cumulative clause count covering exactly frames ``0..k``
         (builds the frames if needed).  Independent of how many further

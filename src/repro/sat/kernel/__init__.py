@@ -1,26 +1,27 @@
-"""Pluggable BCP and conflict-analysis kernels over the flat data plane.
+"""The solver's data plane: BCP and conflict-analysis kernels.
 
-``SolverConfig.bcp_backend`` selects the propagation data plane and
-``SolverConfig.analyze_backend`` the conflict-analysis plane; the two
-compose.  Each offers three backends sharing one search behaviour,
-byte for byte:
+``SolverConfig.backend`` selects the plane.  Both planes run the same
+search, byte for byte:
 
-``"legacy"``
-    The in-solver loops (``CdclSolver._propagate`` / ``_analyze``) —
-    the pre-kernel paths.  No kernel object is constructed.
 ``"python"``
     :class:`~repro.sat.kernel.pykernel.PythonBcpKernel` /
-    :class:`~repro.sat.kernel.pykernel.PythonAnalyzeKernel`: the same
-    loops over flat ``array('i')`` columns and typed solver state.
-    Always available; the semantics references for the native kernels.
+    :class:`~repro.sat.kernel.pykernel.PythonAnalyzeKernel`: propagation
+    and the first-UIP walk in pure Python over flat ``array('i')``
+    columns and typed solver state.  Always available; the semantics
+    reference the native plane is fuzzed against.
 ``"native"``
     :class:`~repro.sat.kernel.native.NativeBcpKernel` /
-    :class:`~repro.sat.kernel.native.NativeAnalyzeKernel`: the loops
-    compiled to C (cffi, built on demand, cached), aliasing the same
-    arrays zero-copy.  When *both* planes are native the solver routes
-    through the fused ``search_step`` (propagate, then analyze the
-    conflict without re-crossing the FFI boundary).  Requires cffi and
-    a C compiler; probe with :func:`native_available` first.
+    :class:`~repro.sat.kernel.native.NativeAnalyzeKernel`: the same
+    loops compiled to C (cffi), aliasing the same arrays zero-copy,
+    fused into one ``search_step`` call that propagates and analyzes
+    the conflict without re-crossing the FFI boundary.  Needs cffi and
+    a C compiler; the extension is compiled on first use and cached
+    (see :mod:`repro.sat.kernel.native`).  Raises :class:`RuntimeError`
+    at solver construction where it cannot be built.
+``"auto"`` (the default)
+    ``"native"`` when :func:`native_available`, else ``"python"`` —
+    with one :class:`RuntimeWarning` per process carrying
+    :func:`native_unavailable_reason`.
 
 See :mod:`repro.sat.kernel.base` for the seam contracts and
 ``docs/architecture.md`` ("Propagation data plane" / "Conflict-analysis
@@ -29,7 +30,8 @@ plane") for the layouts.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import warnings
+from typing import TYPE_CHECKING, Tuple
 
 from repro.sat.kernel.base import AnalyzeKernelBase, BcpKernelBase
 from repro.sat.kernel.columns import ClauseLitMirror, WatchColumns
@@ -44,45 +46,50 @@ from repro.sat.kernel.pykernel import PythonAnalyzeKernel, PythonBcpKernel
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sat.solver import CdclSolver
 
-#: Valid values of ``SolverConfig.bcp_backend``.
-BCP_BACKENDS = ("legacy", "python", "native")
+#: Valid values of ``SolverConfig.backend``.
+BACKENDS = ("auto", "python", "native")
 
-#: Valid values of ``SolverConfig.analyze_backend``.
-ANALYZE_BACKENDS = ("legacy", "python", "native")
-
-
-def create_kernel(solver: "CdclSolver", backend: str) -> BcpKernelBase:
-    """Instantiate the BCP kernel for ``backend`` (not ``"legacy"``).
-
-    ``"native"`` raises :class:`RuntimeError` with the build failure
-    when the compiled kernel cannot be had on this host.
-    """
-    if backend == "python":
-        return PythonBcpKernel(solver)
-    if backend == "native":
-        return NativeBcpKernel(solver)
-    raise ValueError(f"no kernel for bcp_backend {backend!r}")
+#: Whether ``"auto"`` has already warned about falling back (once per
+#: process).
+_fallback_warned = False
 
 
-def create_analyze_kernel(
+def resolve_backend(backend: str) -> str:
+    """The plane ``backend`` binds on this host: ``"python"`` or
+    ``"native"``.  ``"auto"`` falls back to python, warning once per
+    process; an explicit ``"native"`` is returned as is (its kernels
+    raise where they cannot be built)."""
+    global _fallback_warned
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    if backend != "auto":
+        return backend
+    if native_available():
+        return "native"
+    if not _fallback_warned:
+        _fallback_warned = True
+        warnings.warn(
+            f"backend='auto' is using the python kernel: "
+            f"{native_unavailable_reason()}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return "python"
+
+
+def create_kernels(
     solver: "CdclSolver", backend: str
-) -> AnalyzeKernelBase:
-    """Instantiate the analysis kernel for ``backend`` (not ``"legacy"``).
-
-    Same degradation contract as :func:`create_kernel`: ``"native"``
-    raises :class:`RuntimeError` when the extension cannot be built.
-    """
-    if backend == "python":
-        return PythonAnalyzeKernel(solver)
-    if backend == "native":
-        return NativeAnalyzeKernel(solver)
-    raise ValueError(f"no kernel for analyze_backend {backend!r}")
+) -> Tuple[BcpKernelBase, AnalyzeKernelBase]:
+    """The (BCP, analysis) kernel pair of the plane ``backend`` binds."""
+    if resolve_backend(backend) == "native":
+        bcp = NativeBcpKernel(solver)
+        return bcp, NativeAnalyzeKernel(solver, bcp)
+    return PythonBcpKernel(solver), PythonAnalyzeKernel(solver)
 
 
 __all__ = [
-    "ANALYZE_BACKENDS",
     "AnalyzeKernelBase",
-    "BCP_BACKENDS",
+    "BACKENDS",
     "BcpKernelBase",
     "ClauseLitMirror",
     "NativeAnalyzeKernel",
@@ -90,8 +97,8 @@ __all__ = [
     "PythonAnalyzeKernel",
     "PythonBcpKernel",
     "WatchColumns",
-    "create_analyze_kernel",
-    "create_kernel",
+    "create_kernels",
     "native_available",
     "native_unavailable_reason",
+    "resolve_backend",
 ]

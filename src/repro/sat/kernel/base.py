@@ -1,27 +1,26 @@
-"""The BCP-kernel seam: what a propagation backend owes the solver.
+"""The kernel seam: what a plane's two kernels owe the solver.
 
-A *kernel* owns the watch state (three :class:`~repro.sat.kernel
+A *BCP kernel* owns the watch state (three :class:`~repro.sat.kernel
 .columns.WatchColumns`) and implements boolean constraint propagation
 over the solver's flat typed state — ``lit_truth`` (a ``bytearray``),
-``_levels``/``_reasons``/``_trail`` (``array('i')``) and the compact
+``_levels``/``_reasons``/``_trail`` (``array('i')``) and the
 :class:`~repro.sat.arena.ClauseArena` word store, all aliased, never
-copied.  Everything else — decisions, conflict analysis, proofs, CDG,
-strategies — stays in Python and talks to the kernel only through this
-seam:
+copied.  Everything else — decisions, the conflict-analysis tail,
+proofs, CDG, strategies — stays in Python and talks to the kernels
+only through this seam:
 
 ``propagate() -> int``
     Exhaust the implication queue from ``solver._qhead``; assign
     implied literals (truth/levels/reasons/trail), advance
     ``solver._qhead``/``solver._trail_len``, add the propagation count
     to ``solver.stats``, and return the conflicting clause ID or -1.
-    Exactly the contract of the legacy ``CdclSolver._propagate``.
+    The python kernel implements it; the native plane propagates only
+    inside its fused ``search_step``.
 
 ``attach(cid, lits)`` / ``detach(cid)`` / ``drop_clauses(dropped)``
     The watch bookkeeping hooks: clause install, single-clause detach
     (swap-with-last, learned-DB reduction) and bulk order-preserving
-    removal (root-satisfied pruning).  Each replicates the legacy
-    tuple-table operation so watch-list order — and therefore search
-    behaviour — is byte-identical across backends.
+    removal (root-satisfied pruning).
 
 ``grow(lit_capacity)``
     Called from ``ensure_num_vars`` when the literal space grows;
@@ -29,8 +28,8 @@ seam:
     the solver rewinds the shared trail/qhead itself).
 
 The base class implements every hook except :meth:`propagate` — watch
-mutation is not hot and shared verbatim by both kernels, which also
-guarantees the python and native backends grow byte-identical watch
+mutation is not hot and shared verbatim by both planes, which also
+guarantees the python and native planes grow byte-identical watch
 layouts (the native kernel defers its in-propagate appends through the
 same doubling policy).
 """
@@ -73,7 +72,7 @@ class BcpKernelBase:
         self.bin.grow_lits(lit_capacity)
         self.tern.grow_lits(lit_capacity)
 
-    # -- watch bookkeeping (legacy-equivalent, not hot) --------------------
+    # -- watch bookkeeping (not hot) ----------------------------------------
 
     def attach(self, cid: int, lits: Sequence[int]) -> None:
         n = len(lits)
@@ -120,22 +119,14 @@ class BcpKernelBase:
     # -- introspection -----------------------------------------------------
 
     def watch_snapshot(self) -> Dict[str, List[List[Tuple[int, ...]]]]:
-        """Per-literal entry tuples in legacy table shape — the
-        white-box surface the cross-backend watch tests compare.
-        Binary entries are expanded back to the legacy 4-tuple
-        ``(cid, implied, ~implied, var)`` (the columns store 2 words
-        and recompute the rest)."""
+        """Per-literal entry tuples, in watch order — the white-box
+        surface the watch tests inspect: long ``(cid, blocker)``,
+        binary ``(cid, implied)``, ternary ``(cid, other_a,
+        other_b)``."""
         num_lits = 2 * self.solver.num_vars
         return {
-            "long": [self.long.entries(lit) for lit in range(num_lits)],
-            "bin": [
-                [
-                    (cid, implied, implied ^ 1, implied >> 1)
-                    for cid, implied in self.bin.entries(lit)
-                ]
-                for lit in range(num_lits)
-            ],
-            "tern": [self.tern.entries(lit) for lit in range(num_lits)],
+            name: [getattr(self, name).entries(lit) for lit in range(num_lits)]
+            for name in ("long", "bin", "tern")
         }
 
     def footprint(self) -> Dict[str, dict]:
@@ -150,7 +141,8 @@ class AnalyzeKernelBase:
     """The conflict-analysis seam: what an analysis backend owes the solver.
 
     An *analysis kernel* runs the first-UIP resolution loop — and only
-    that loop — over the solver's flat state.  Everything downstream of
+    that loop — over the solver's flat state, and owns the plane's
+    search step.  Everything downstream of
     the raw first-UIP clause (activity-bump replay, minimization,
     level-0 reason closure, LBD, the backjump-literal swap, CDG/proof
     recording, clause install) stays in ``CdclSolver``; the seam hands
@@ -160,30 +152,29 @@ class AnalyzeKernelBase:
         Run first-UIP from the conflicting clause.  On return:
 
         * ``learned`` is the raw (pre-minimization) clause with the
-          asserting literal at position 0, remaining literals in legacy
+          asserting literal at position 0, remaining literals in
           discovery order;
         * ``antecedents`` is the ordered resolvent list —
           ``antecedents[0]`` the conflict clause, then each reason
           clause in resolution order (the CDG/proof derivation prefix,
-          and the bump-replay worklist: legacy bumps exactly
+          and the bump-replay worklist: the solver bumps exactly
           ``antecedents[1:]`` in this order);
         * the solver's ``_seen`` marks are LEFT SET, with the marked
           variables appended to ``solver._touched_scratch`` and the
           level-0 subset to ``solver._zero_scratch`` (discovery order)
           — minimization and the reason closure consume the marks, and
-          ``_finish_analysis`` clears them, exactly as after the legacy
-          loop.
+          ``_finish_analysis`` clears them.
 
     ``search_step(num_assumptions) -> (conflict, analysis_or_none)``
-        The fused fast path (native only): propagate, and when a
+        The search loop's one call per step: propagate, and when a
         conflict lands at an analyzable level (``decision_level >
-        num_assumptions``) run the resolution loop before returning to
-        Python — one FFI crossing per conflict instead of two.
-        ``analysis`` is the ``analyze`` pair, or None when there is no
-        conflict / the level mandates a terminal Python path (level 0
-        UNSAT, assumption-prefix conflicts).  The base implementation
-        composes the two seams in Python; the native kernel overrides
-        it with the single C call.
+        num_assumptions``) run the resolution loop.  ``analysis`` is
+        the ``analyze`` pair, or None when there is no conflict / the
+        level mandates a terminal Python path (level 0 UNSAT,
+        assumption-prefix conflicts).  The base implementation
+        composes ``propagate`` and ``analyze`` in Python; the native
+        kernel overrides it with one fused C call (one FFI crossing
+        per conflict) and implements neither half on its own.
 
     ``sync_mirror()`` / ``free_clause(cid)``
         Install-order mirror bookkeeping (see
@@ -246,13 +237,10 @@ class AnalyzeKernelBase:
     def search_step(
         self, num_assumptions: int
     ) -> Tuple[int, Optional[Tuple[List[int], List[int]]]]:
-        """Propagate, then analyze in place when the conflict is
-        analyzable.  This Python composition exists for completeness
-        and tests; the solver only routes through ``search_step`` when
-        both kernels are native (where the override fuses the two loops
-        into one C call)."""
+        """Propagate, then analyze when the conflict is analyzable (the
+        python plane's step; the native kernel fuses both in C)."""
         solver = self.solver
-        conflict = solver._propagate()
+        conflict = solver._kernel.propagate()
         if conflict < 0 or solver._decision_level <= num_assumptions:
             return conflict, None
         return conflict, self.analyze(conflict)

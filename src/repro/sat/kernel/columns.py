@@ -1,12 +1,10 @@
-"""Flat per-literal watch columns: the kernel side of the watch tables.
+"""Flat per-literal watch columns: the watch tables of both planes.
 
-The legacy data plane keeps one Python list of packed tuples per
-literal (``CdclSolver._watches`` / ``_watches_bin`` / ``_watches_tern``).
-A C kernel cannot walk Python lists, so the kernel backends replace all
-three tables with instances of :class:`WatchColumns`: one pooled
-``array('i')`` holding every literal's entries back to back, addressed
-by per-literal ``offs``/``size``/``caps`` columns (a CSR layout with
-per-row headroom).
+A C kernel cannot walk Python lists, so each watch table is an instance
+of :class:`WatchColumns`: one pooled ``array('i')`` holding every
+literal's entries back to back, addressed by per-literal
+``offs``/``size``/``caps`` columns (a CSR layout with per-row
+headroom).  The python and native planes share this layout.
 
 Entry layouts (32-bit words each)::
 
@@ -14,11 +12,9 @@ Entry layouts (32-bit words each)::
     ternary clauses  [cid, other_a, other_b]  3 words
     binary clauses   [cid, implied]           2 words
 
-The long and ternary layouts mirror the legacy tuples word for word.
-Binary entries drop the legacy tuples' precomputed ``~implied``/``var``
-words: recomputing them is one int op each, cheaper in both kernels
-than the extra subscripts (Python) or memory traffic (C) of reading
-them back.
+Binary entries store no precomputed ``~implied``/``var`` words:
+recomputing them is one int op each, cheaper in both kernels than the
+extra subscripts (Python) or memory traffic (C) of reading them back.
 
 Growth discipline: a literal's block holds ``caps[lit]`` entries; an
 append into a full block *relocates* it to the pool tail with doubled
@@ -27,15 +23,14 @@ Because capacities double, the total pool size stays within a small
 constant factor of the peak live volume — the same amortization Python
 lists provide — so no compaction pass is needed.  The pool only ever
 grows via :meth:`reserve`, keeping the backing ``array`` object stable
-for zero-copy ``ffi.from_buffer`` aliasing by the native kernel (the
-buffer is re-acquired per propagate call, so growth between calls is
-safe).
+for zero-copy ``ffi.from_buffer`` aliasing by the native kernel
+(growth fires :attr:`on_resize` so cached views are released first).
 
-Mutation entry points mirror the legacy list operations exactly —
-append (attach / watch move), swap-with-last removal (:meth:`detach`),
-and order-preserving filtering (:meth:`drop_clauses`) — so a kernel
-backend's watch-list order evolves byte-identically to the legacy
-tables' and search behaviour is preserved.
+Mutation entry points are append (attach / watch move), swap-with-last
+removal (:meth:`detach`) and order-preserving filtering
+(:meth:`drop_clauses`).  Watch-list order is search state: both planes
+apply the same mutations in the same order, so their watch lists — and
+their searches — evolve byte-identically.
 """
 
 from __future__ import annotations
@@ -126,7 +121,7 @@ class WatchColumns:
         self.used = need
         return used
 
-    # -- legacy-equivalent mutations ---------------------------------------
+    # -- mutations ---------------------------------------------------------
 
     def append2(self, lit: int, w0: int, w1: int) -> None:
         """Append a 2-word entry (the long-table watch move / attach)."""
@@ -153,9 +148,8 @@ class WatchColumns:
         self.size[lit] = sz + 1
 
     def detach(self, lit: int, cid: int) -> None:
-        """Remove the entry watching ``cid`` by swap-with-last — the
-        legacy ``watch_list[i] = watch_list[-1]; pop()`` move (order
-        destroying, exactly like the original)."""
+        """Remove the entry watching ``cid`` by swap-with-last (order
+        destroying: the last entry takes the removed slot)."""
         words = self.words
         data = self.data
         base = self.offs[lit]
@@ -171,7 +165,7 @@ class WatchColumns:
 
     def drop_clauses(self, dropped: Set[int]) -> None:
         """Remove every entry whose clause ID is in ``dropped``,
-        preserving survivor order — the legacy ``_compact_watches``."""
+        preserving survivor order."""
         words = self.words
         data = self.data
         offs = self.offs
@@ -195,7 +189,7 @@ class WatchColumns:
     # -- introspection (tests, footprint) ----------------------------------
 
     def entries(self, lit: int) -> List[Tuple[int, ...]]:
-        """The literal's entries as packed tuples (legacy table shape)."""
+        """The literal's entries as packed tuples, in watch order."""
         words = self.words
         data = self.data
         base = self.offs[lit]

@@ -1,21 +1,21 @@
-"""The native kernels: the same loops, compiled, over the same memory.
+"""The native plane: the python kernels' loops, compiled, over the same memory.
 
-The C functions below are transliterations of
+The C code below transliterates
 :class:`~repro.sat.kernel.pykernel.PythonBcpKernel.propagate` (binary,
 ternary, then the two-phase long scan) and
 :class:`~repro.sat.kernel.pykernel.PythonAnalyzeKernel.analyze` (the
 first-UIP resolution walk, reading long-clause literals from the
-install-order mirror), plus the *fused* ``search_step`` that runs both
-without returning to Python between them — one FFI crossing per
-conflict.  All run zero-copy over the solver's typed arrays via
+install-order mirror) into one exported entry point, the *fused*
+``search_step``: propagate and, on an analyzable conflict, run the walk
+without returning to Python in between — one FFI crossing per conflict.
+It runs zero-copy over the solver's typed arrays via
 ``ffi.from_buffer``: ``lit_truth``/``_seen`` (``unsigned char``
 bytearrays), levels/reasons/trail/watch columns/mirror words
-(``int32_t``), arena and mirror refs (``int64_t``).  Buffer views are
-acquired per call and released before returning, so Python-side growth
-(clause installs, ``ensure_num_vars``) between calls never invalidates
-a held pointer.
+(``int32_t``), arena and mirror refs (``int64_t``).  The views are
+cached across calls and released before any Python-side resize (see
+:meth:`NativeAnalyzeKernel.invalidate_views`).
 
-What C cannot do is grow a Python ``array``.  Two cooperative return
+What C cannot do is grow a Python ``array``.  Three cooperative return
 codes handle that:
 
 * Watch moves discovered during the long scan are not appended
@@ -34,23 +34,28 @@ codes handle that:
   after unmarking every ``seen`` bit it set (clause-activity bumps are
   replayed Python-side from the antecedent list, so nothing else was
   mutated): Python doubles the buffer named by ``ST_ABUF`` and the walk
-  restarts idempotently.  In the fused step the conflict ID is parked
-  in ``ST_ACONFLICT`` so the re-entry skips straight to the walk.
+  restarts idempotently.  The conflict ID is parked in ``ST_ACONFLICT``
+  so the re-entry skips straight to the walk.
 
-Build: cffi out-of-line API mode, compiled on demand into a cache
+Build: cffi out-of-line API mode, compiled on first use into a cache
 directory (``REPRO_KERNEL_CACHE``, default ``~/.cache/repro-bcp-
 kernel``) keyed by a hash of the C source, so each source revision
-compiles once per machine.  Hosts without cffi or a C compiler get a
-:class:`RuntimeError` from the constructor and a ``False`` from
-:func:`native_available` — callers (config validation, tests, the
-benchmark harness) degrade to the python kernel.
+compiles once per machine.  The compiler runs in a child interpreter.
+The compiled object is published with a sha256 sidecar and verified
+before every load; a damaged object is rebuilt once.  Hosts without cffi or a C compiler get a
+:class:`RuntimeError` from the constructors and a ``False`` from
+:func:`native_available` — ``backend="auto"`` then binds the python
+plane.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
+import subprocess
+import sys
 import sysconfig
 from array import array
 from typing import TYPE_CHECKING, Optional
@@ -76,8 +81,7 @@ ST_PEND_N = 8
 ST_PEND_CAP = 9
 ST_CONFLICT = 10
 ST_GROW = 11
-# Conflict-analysis slots (NativeAnalyzeKernel; the BCP entry point
-# never reads them).
+# Conflict-analysis slots (the walk's inputs, capacities and results).
 ST_ASSUME_LVL = 12
 ST_ACONFLICT = 13
 ST_LEARNED_N = 14
@@ -99,24 +103,6 @@ RET_NEED_PEND = -3
 RET_NEED_ABUF = -4
 
 _CDEF = """
-int bcp_propagate(unsigned char *truth,
-                  int32_t *levels, int32_t *reasons, int32_t *trail,
-                  int32_t *adata, int64_t *arefs,
-                  const int32_t *b_off, const int32_t *b_size,
-                  const int32_t *b_data,
-                  const int32_t *t_off, const int32_t *t_size,
-                  const int32_t *t_data,
-                  int32_t *l_off, int32_t *l_size, int32_t *l_cap,
-                  int32_t *l_data,
-                  int32_t *pend, int32_t *st, int64_t *prof);
-int analyze_first_uip(const int32_t *levels, const int32_t *reasons,
-                      const int32_t *trail,
-                      const int32_t *adata, const int64_t *arefs,
-                      const int32_t *mdata, const int64_t *mrefs,
-                      unsigned char *seen,
-                      int32_t *learned, int32_t *ants,
-                      int32_t *touched, int32_t *zero, int32_t *st,
-                      int64_t *prof);
 int search_step(unsigned char *truth,
                 int32_t *levels, int32_t *reasons, int32_t *trail,
                 int32_t *adata, int64_t *arefs,
@@ -220,7 +206,7 @@ static int flush_pending(int32_t *l_off, int32_t *l_size, int32_t *l_cap,
     return 0;
 }
 
-/* The BCP scan (exported via bcp_propagate, fused via search_step). */
+/* The BCP scan (run by the fused search_step). */
 static int bcp_scan(unsigned char *truth,
                     int32_t *levels, int32_t *reasons, int32_t *trail,
                     int32_t *adata, int64_t *arefs,
@@ -325,7 +311,7 @@ static int bcp_scan(unsigned char *truth,
             }
         }
 
-        /* Long: two-phase scan, j < 0 = read-only phase (legacy loop). */
+        /* Long: two-phase scan, j < 0 = read-only phase (python kernel). */
         n = l_size[false_lit];
         conflict = -1;
         if (n) {
@@ -492,22 +478,6 @@ save_grow:
     return -2;
 }
 
-int bcp_propagate(unsigned char *truth,
-                  int32_t *levels, int32_t *reasons, int32_t *trail,
-                  int32_t *adata, int64_t *arefs,
-                  const int32_t *b_off, const int32_t *b_size,
-                  const int32_t *b_data,
-                  const int32_t *t_off, const int32_t *t_size,
-                  const int32_t *t_data,
-                  int32_t *l_off, int32_t *l_size, int32_t *l_cap,
-                  int32_t *l_data,
-                  int32_t *pend, int32_t *st, int64_t *prof)
-{
-    return bcp_scan(truth, levels, reasons, trail, adata, arefs,
-                    b_off, b_size, b_data, t_off, t_size, t_data,
-                    l_off, l_size, l_cap, l_data, pend, st, prof);
-}
-
 /* First-UIP resolution walk — the PythonAnalyzeKernel.analyze loop.
    Clause literals come from the install-order mirror when the clause
    is mirrored (long clauses, whose arena blocks watch moves permute),
@@ -613,20 +583,6 @@ rollback:
     return -4;
 }
 
-int analyze_first_uip(const int32_t *levels, const int32_t *reasons,
-                      const int32_t *trail,
-                      const int32_t *adata, const int64_t *arefs,
-                      const int32_t *mdata, const int64_t *mrefs,
-                      unsigned char *seen,
-                      int32_t *learned, int32_t *ants,
-                      int32_t *touched, int32_t *zero, int32_t *st,
-                      int64_t *prof)
-{
-    return analyze_uip(levels, reasons, trail, adata, arefs,
-                       mdata, mrefs, seen, learned, ants,
-                       touched, zero, st, prof);
-}
-
 /* The fused step: propagate, and when the conflict lands above the
    assumption prefix (st[ST_LEVEL] > st[ST_ASSUME_LVL] — level 0 and
    assumption-prefix conflicts take terminal Python paths), run the
@@ -692,9 +648,89 @@ def _cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-bcp-kernel")
 
 
+def module_path() -> str:
+    """Where this source revision's compiled kernel is cached."""
+    digest = hashlib.sha1((_CDEF + _SOURCE).encode()).hexdigest()[:12]
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    return os.path.join(_cache_dir(), f"_repro_bcp_{digest}{suffix}")
+
+
+def _sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _verified(so_path: str) -> bool:
+    """True when ``so_path`` matches the sha256 sidecar written when it
+    was published.  Loading an unchecked object is not safe: a
+    truncated one kills the process with SIGBUS inside the loader."""
+    try:
+        with open(so_path + ".sha256", encoding="ascii") as handle:
+            expected = handle.read().strip()
+        return _sha256(so_path) == expected
+    except OSError:
+        return False
+
+
+#: Run by :func:`_build` in a child interpreter: compiles the spec read
+#: from stdin and prints the built object's path.
+_BUILD_SCRIPT = """
+import json, sys
+from cffi import FFI
+spec = json.load(sys.stdin)
+ffibuilder = FFI()
+ffibuilder.cdef(spec["cdef"])
+ffibuilder.set_source(spec["modname"], spec["source"])
+print(ffibuilder.compile(tmpdir=spec["tmpdir"], verbose=False))
+"""
+
+
+def _build(modname: str, so_path: str) -> None:
+    """Compile the extension and publish it with its sha256 sidecar.
+
+    The compiler runs in a child interpreter, so its imports and memory
+    never land in this process — which may live on and fork workers
+    whose peak RSS would otherwise include the toolchain's.
+    """
+    cache = os.path.dirname(so_path)
+    os.makedirs(cache, exist_ok=True)
+    # Compile in a per-process scratch dir, then publish atomically:
+    # concurrent builders (portfolio race workers, parallel pytest)
+    # never trample each other.  A reader that meets one builder's
+    # object beside another's sidecar fails verification and rebuilds.
+    build_dir = os.path.join(cache, f"build-{os.getpid()}")
+    os.makedirs(build_dir, exist_ok=True)
+    try:
+        spec = {"cdef": _CDEF, "source": _SOURCE, "modname": modname,
+                "tmpdir": build_dir}
+        proc = subprocess.run(
+            [sys.executable, "-c", _BUILD_SCRIPT], input=json.dumps(spec),
+            capture_output=True, text=True, timeout=600,
+        )
+        if proc.returncode != 0:
+            lines = proc.stderr.strip().splitlines() or ["no output"]
+            raise ImportError(f"kernel build failed: {lines[-1]}")
+        built = proc.stdout.strip().splitlines()[-1]
+        sidecar = os.path.join(build_dir, "sha256")
+        with open(sidecar, "w", encoding="ascii") as handle:
+            handle.write(_sha256(built))
+        os.replace(built, so_path)
+        os.replace(sidecar, so_path + ".sha256")
+    finally:
+        shutil.rmtree(build_dir, ignore_errors=True)
+
+
 def _load_module():
     """Build (once per source revision per machine) and import the
-    extension; raises on hosts without cffi or a C compiler."""
+    extension; raises on hosts without cffi or a C compiler.
+
+    A cached object that fails its checksum (truncated, or from a
+    build that died mid-publish) is rebuilt once; if the rebuild does
+    not verify either, the kernel counts as unavailable.
+    """
     global _MODULE, _BUILD_ERROR
     if _MODULE is not None:
         return _MODULE
@@ -703,28 +739,12 @@ def _load_module():
     try:
         import importlib.util
 
-        from cffi import FFI
-
-        digest = hashlib.sha1((_CDEF + _SOURCE).encode()).hexdigest()[:12]
-        modname = f"_repro_bcp_{digest}"
-        suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-        cache = _cache_dir()
-        so_path = os.path.join(cache, modname + suffix)
-        if not os.path.exists(so_path):
-            os.makedirs(cache, exist_ok=True)
-            # Compile in a per-process scratch dir, then publish the
-            # shared object atomically: concurrent builders (portfolio
-            # race workers, parallel pytest) never trample each other.
-            build_dir = os.path.join(cache, f"build-{os.getpid()}")
-            os.makedirs(build_dir, exist_ok=True)
-            try:
-                ffibuilder = FFI()
-                ffibuilder.cdef(_CDEF)
-                ffibuilder.set_source(modname, _SOURCE)
-                built = ffibuilder.compile(tmpdir=build_dir, verbose=False)
-                os.replace(built, so_path)
-            finally:
-                shutil.rmtree(build_dir, ignore_errors=True)
+        so_path = module_path()
+        modname = os.path.basename(so_path).split(".")[0]
+        if not _verified(so_path):
+            _build(modname, so_path)
+            if not _verified(so_path):
+                raise ImportError(f"{so_path} fails its checksum after a rebuild")
         spec = importlib.util.spec_from_file_location(modname, so_path)
         if spec is None or spec.loader is None:
             raise ImportError(f"cannot load {so_path}")
@@ -734,8 +754,8 @@ def _load_module():
         return module
     except Exception as exc:  # cffi missing, no compiler, bad toolchain
         _BUILD_ERROR = (
-            f"native BCP kernel unavailable ({type(exc).__name__}: {exc}); "
-            f"use bcp_backend='python' or install cffi + a C compiler"
+            f"native kernel unavailable ({type(exc).__name__}: {exc}); "
+            f"use backend='python' or install cffi + a C compiler"
         )
         raise RuntimeError(_BUILD_ERROR) from exc
 
@@ -759,122 +779,33 @@ def native_unavailable_reason() -> Optional[str]:
 
 
 class NativeBcpKernel(BcpKernelBase):
-    """BCP via the compiled C scan; construction fails cleanly when the
-    extension cannot be built (callers fall back or skip)."""
+    """The native plane's watch columns.  It has no standalone
+    :meth:`propagate`: the native plane propagates only inside the
+    fused :meth:`NativeAnalyzeKernel.search_step`.  Construction fails
+    cleanly when the extension cannot be built."""
 
     name = "native"
 
     def __init__(self, solver: "CdclSolver") -> None:
-        module = _load_module()  # raises RuntimeError when unavailable
+        _load_module()  # raises RuntimeError when unavailable
         super().__init__(solver)
-        self._ffi = module.ffi
-        self._lib = module.lib
-        self._state = array("i", bytes(4 * _STATE_SLOTS))
-        self._state[ST_CONFLICT] = -1
-        # Pending watch-move scratch: [dest, cid, blocker] triples.
-        self._pend = array("i", bytes(4 * 3 * 64))
-        # The C scan accumulates its access-profile counters
-        # unconditionally; when profiling is off it writes into this
-        # private dummy buffer instead of the solver's.
-        self._prof_buf = (
-            solver._profile
-            if solver._profile is not None
-            else new_profile_buffer()
-        )
-
-    def propagate(self) -> int:
-        solver = self.solver
-        state = self._state
-        if solver._qhead >= solver._trail_len and not state[ST_RESUME]:
-            return -1  # nothing queued (also keeps empty buffers off FFI)
-        qhead0 = solver._qhead
-        state[ST_QHEAD] = solver._qhead
-        state[ST_TRAIL_LEN] = solver._trail_len
-        state[ST_LEVEL] = solver._decision_level
-        state[ST_PROPS] = 0
-        long_cols = self.long
-        state[ST_LONG_USED] = long_cols.used
-        arena = solver._arena
-        ffi = self._ffi
-        from_buffer = ffi.from_buffer
-        release = ffi.release
-        bcp = self._lib.bcp_propagate
-        pend = self._pend
-        while True:
-            state[ST_LONG_CAP] = len(long_cols.data)
-            state[ST_PEND_CAP] = len(pend) // 3
-            views = (
-                from_buffer("unsigned char[]", solver.lit_truth),
-                from_buffer("int32_t[]", solver._levels),
-                from_buffer("int32_t[]", solver._reasons),
-                from_buffer("int32_t[]", solver._trail),
-                from_buffer("int32_t[]", arena.data),
-                from_buffer("int64_t[]", arena.refs),
-                from_buffer("int32_t[]", self.bin.offs),
-                from_buffer("int32_t[]", self.bin.size),
-                from_buffer("int32_t[]", self.bin.data),
-                from_buffer("int32_t[]", self.tern.offs),
-                from_buffer("int32_t[]", self.tern.size),
-                from_buffer("int32_t[]", self.tern.data),
-                from_buffer("int32_t[]", long_cols.offs),
-                from_buffer("int32_t[]", long_cols.size),
-                from_buffer("int32_t[]", long_cols.caps),
-                from_buffer("int32_t[]", long_cols.data),
-                from_buffer("int32_t[]", pend),
-                from_buffer("int32_t[]", state),
-                from_buffer("int64_t[]", self._prof_buf),
-            )
-            result = bcp(*views)
-            for view in views:
-                release(view)  # un-export before any Python-side resize
-            if result == RET_NEED_GROW:
-                akernel = solver._akernel
-                if akernel is not None:
-                    # The fused step's cached views pin long_cols.data
-                    # too (root/assumption propagation runs here even
-                    # when search uses the fused path).
-                    akernel.invalidate_views()
-                long_cols.used = state[ST_LONG_USED]
-                long_cols.reserve(state[ST_LONG_USED] + state[ST_GROW])
-                continue
-            if result == RET_NEED_PEND:
-                need = 3 * state[ST_GROW]
-                have = len(pend)
-                pend.frombytes(bytes(4 * (max(need, 2 * have) - have)))
-                continue
-            break
-        long_cols.used = state[ST_LONG_USED]
-        solver._qhead = state[ST_QHEAD]
-        solver._trail_len = state[ST_TRAIL_LEN]
-        solver.stats.propagations += state[ST_PROPS]
-        profile = solver._profile
-        if profile is not None:
-            # Enqueue/dequeue counts derive from the state slots (the C
-            # side only tracks the scan counters); ST_PROPS accumulates
-            # across growth re-entries within this call, matching the
-            # stats credit above.
-            profile[PROF_PROPS] += state[ST_PROPS]
-            profile[PROF_DEQ] += state[ST_QHEAD] - qhead0
-        return result
 
 
 class NativeAnalyzeKernel(AnalyzeKernelBase):
-    """First-UIP analysis via the compiled walk, with the fused
-    propagate-then-analyze step when the BCP kernel is native too.
+    """The native plane's search step: propagate and, on a conflict,
+    run the first-UIP walk in one FFI call (see ``search_step`` in the
+    C source).
 
-    Owns its own 24-slot state array and scratch buffers — the BCP
-    kernel's call-scoped state never persists across its ``propagate``
-    returns, so the two kernels share nothing but the solver arrays
-    (and, in the fused step, the BCP kernel's watch columns, handled
-    through the exact re-entry protocol ``NativeBcpKernel.propagate``
-    uses).  Scratch buffers grow by doubling on ``RET_NEED_ABUF``
-    (``ST_ABUF`` names the one that overflowed); the C side unmarks
-    ``seen`` before asking, so the restarted walk is idempotent.
+    Owns a 24-slot state array and the scratch buffers; shares the
+    solver arrays and the BCP kernel's watch columns.  Scratch buffers
+    grow by doubling on ``RET_NEED_ABUF`` (``ST_ABUF`` names the one
+    that overflowed); the C side unmarks ``seen`` before asking, so the
+    restarted walk is idempotent.
     """
 
     name = "native"
 
-    def __init__(self, solver: "CdclSolver") -> None:
+    def __init__(self, solver: "CdclSolver", bcp: NativeBcpKernel) -> None:
         module = _load_module()  # raises RuntimeError when unavailable
         super().__init__(solver)
         self._ffi = module.ffi
@@ -882,8 +813,7 @@ class NativeAnalyzeKernel(AnalyzeKernelBase):
         self._state = array("i", bytes(4 * _STATE_SLOTS))
         self._state[ST_CONFLICT] = -1
         self._state[ST_ACONFLICT] = -1
-        # Fused-step pending watch moves ([dest, cid, blocker] triples;
-        # separate from the BCP kernel's call-scoped buffer).
+        # Pending watch moves: [dest, cid, blocker] triples.
         self._pend = array("i", bytes(4 * 3 * 64))
         # Analysis scratch: learned literals, antecedent clause IDs,
         # seen-marked variables, level-0 subset.
@@ -891,8 +821,10 @@ class NativeAnalyzeKernel(AnalyzeKernelBase):
         self._ants_buf = array("i", bytes(4 * 256))
         self._touched_buf = array("i", bytes(4 * 1024))
         self._zero_buf = array("i", bytes(4 * 256))
-        # Access-profile sink (dummy when profiling is off); never
-        # resizes, so its cached view needs no invalidation.
+        # The C scan accumulates its access-profile counters
+        # unconditionally; when profiling is off it writes into this
+        # private dummy buffer instead of the solver's.  Never resizes,
+        # so its cached view needs no invalidation.
         self._prof_buf = (
             solver._profile
             if solver._profile is not None
@@ -910,10 +842,8 @@ class NativeAnalyzeKernel(AnalyzeKernelBase):
         # The resize paths inside the watch columns (relocation /
         # attach growth) fire this hook themselves, which is what lets
         # _add_learned get away with the soft invalidation.
-        kernel = solver._kernel
-        if kernel is not None:
-            for cols in (kernel.bin, kernel.tern, kernel.long):
-                cols.on_resize = self.invalidate_views
+        for cols in (bcp.bin, bcp.tern, bcp.long):
+            cols.on_resize = self.invalidate_views
 
     #: Call-list slots re-exported per conflict (the only arrays that
     #: resize on every learned clause): arena.data, arena.refs,
@@ -1024,53 +954,6 @@ class NativeAnalyzeKernel(AnalyzeKernelBase):
         if zn:
             solver._zero_scratch.extend(self._zero_buf[:zn])
         return learned, antecedents
-
-    def analyze(self, conflict_cid: int) -> "Tuple[List[int], List[int]]":
-        solver = self.solver
-        # Rare path under the fused step (assumption-level conflicts):
-        # drop the cached fused views before the mirror may resize.
-        self.invalidate_views()
-        self.sync_mirror()
-        state = self._state
-        state[ST_LEVEL] = solver._decision_level
-        state[ST_TRAIL_LEN] = solver._trail_len
-        state[ST_ACONFLICT] = conflict_cid
-        arena = solver._arena
-        mirror = self.mirror
-        ffi = self._ffi
-        from_buffer = ffi.from_buffer
-        release = ffi.release
-        fn = self._lib.analyze_first_uip
-        while True:
-            state[ST_LEARNED_CAP] = len(self._learned_buf)
-            state[ST_ANTS_CAP] = len(self._ants_buf)
-            state[ST_TOUCHED_CAP] = len(self._touched_buf)
-            state[ST_ZERO_CAP] = len(self._zero_buf)
-            views = (
-                from_buffer("int32_t[]", solver._levels),
-                from_buffer("int32_t[]", solver._reasons),
-                from_buffer("int32_t[]", solver._trail),
-                from_buffer("int32_t[]", arena.data),
-                from_buffer("int64_t[]", arena.refs),
-                from_buffer("int32_t[]", mirror.data),
-                from_buffer("int64_t[]", mirror.refs),
-                from_buffer("unsigned char[]", solver._seen),
-                from_buffer("int32_t[]", self._learned_buf),
-                from_buffer("int32_t[]", self._ants_buf),
-                from_buffer("int32_t[]", self._touched_buf),
-                from_buffer("int32_t[]", self._zero_buf),
-                from_buffer("int32_t[]", state),
-                from_buffer("int64_t[]", self._prof_buf),
-            )
-            result = fn(*views)
-            for view in views:
-                release(view)  # un-export before any Python-side resize
-            if result == RET_NEED_ABUF:
-                self._grow_abuf()
-                continue
-            break
-        state[ST_ACONFLICT] = -1
-        return self._extract()
 
     def search_step(
         self, num_assumptions: int

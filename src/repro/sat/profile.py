@@ -1,9 +1,8 @@
 """Per-structure access profiling: the raw counter seam.
 
-All three data-plane backends (the legacy loop in
-``CdclSolver._propagate`` / ``_analyze``, the python kernels, and the
-compiled C kernels) account their memory traffic into **one flat
-``array('q')`` of raw aggregates** — ``CdclSolver._profile`` —
+Both data planes (the python kernels and the compiled C kernels)
+account their memory traffic into **one flat ``array('q')`` of raw
+aggregates** — ``CdclSolver._profile`` —
 allocated only when ``SolverConfig.profile_access`` is on.  The slots
 below are the seam contract: the C source mirrors them by index, and
 the native wrappers hand the same buffer across the FFI as a single
@@ -33,7 +32,7 @@ conventions, identical in every backend:
   opened clause, one per scanned word, plus two writes per enqueue.
 * Native growth re-entries (``NEED_GROW``/``NEED_PEND``/``NEED_ABUF``)
   do not flush their aborted pass, so only the completed pass counts —
-  the same totals the pure-Python backends produce, up to a dropped
+  the same totals the python plane produces, up to a dropped
   partial column around a mid-scan pool growth.
 """
 

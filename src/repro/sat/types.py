@@ -20,9 +20,9 @@ class SolveResult(enum.Enum):
 class AnalysisResult(NamedTuple):
     """One conflict analysis, finalized (post-minimization).
 
-    Produced by ``CdclSolver._finish_analysis`` — the Python tail every
-    analysis backend (legacy / python / native, fused or not) funnels
-    through — and consumed by the search loop's conflict block.
+    Produced by ``CdclSolver._finish_analysis`` — the Python tail both
+    planes (python and native) funnel through — and consumed by the
+    search loop's conflict block.
     """
 
     #: The learned clause: asserting literal at position 0; when longer

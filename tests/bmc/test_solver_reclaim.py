@@ -41,13 +41,10 @@ def _run_and_track(engine):
 
 
 CONFIGS = [
-    pytest.param(SolverConfig(), id="legacy"),
+    pytest.param(SolverConfig(), id="auto"),
+    pytest.param(SolverConfig(backend="python"), id="python"),
     pytest.param(
-        SolverConfig(bcp_backend="python", analyze_backend="python"),
-        id="python",
-    ),
-    pytest.param(
-        SolverConfig(bcp_backend="native", analyze_backend="native"),
+        SolverConfig(backend="native"),
         id="native",
         marks=pytest.mark.skipif(
             not native_available(), reason="native kernel not buildable here"
@@ -71,6 +68,21 @@ def test_no_per_depth_solver_outlives_its_depth(collector_off, config, method):
     assert [ref for ref in solvers if ref() is not None] == []
     # The installed-prefix template is dropped with the run, too.
     assert engine._template is None
+
+
+@pytest.mark.parametrize("method", ["static", "dynamic"])
+def test_refined_engine_is_freed_by_reference_counting(collector_off, method):
+    """A refined engine and its unrolling die with the last reference:
+    the engine is not a cycle through its own strategy hook, so its
+    clauses are not left for whatever runs next to collect."""
+    circuit, prop = instance_by_name("03_b").build()
+    engine = RefineOrderBmc(circuit, prop, max_depth=8, mode=method)
+    engine.run()
+    engine_ref = weakref.ref(engine)
+    unroller_ref = weakref.ref(engine.unroller)
+    del engine
+    assert engine_ref() is None
+    assert unroller_ref() is None
 
 
 def test_persist_activity_warm_reattach_survives_detach(collector_off):

@@ -1,18 +1,12 @@
-"""Byte-identity pin: the BCP kernels may not change the search.
+"""Byte-identity pin: the data plane may not change the search.
 
-The kernel backends (PR 7) replace the propagation *data plane* — tuple
-watch tables become flat ``array('i')`` columns, optionally scanned in
-C — but the algorithm, the watch-list order discipline and every tie
-break are the legacy ones.  So the whole Table-1 pipeline (BMC
-unrolling, incremental solving, strategy reordering, restarts, clause
-reduction) must produce byte-identical search counters under every
-backend.
-
-Two pins, on the same 4-row subset ``test_pr5_identity.py`` uses:
-
-* every kernel backend's counters equal the legacy run's, and
-* the legacy run still equals the PR 5 baseline capture — so a kernel
-  PR cannot "pass" by moving legacy and kernel in lockstep.
+The two planes (python, native) share one algorithm, one watch-list
+order discipline and every tie break, so the whole Table-1 pipeline
+(BMC unrolling, incremental solving, strategy reordering, restarts,
+clause reduction) must produce byte-identical search counters on
+both — and those counters must still equal the PR 5 baseline capture
+(``tests/data/table1_pr5_baseline.json``), so a plane cannot "pass" by
+moving the search in lockstep with the other.
 """
 
 from __future__ import annotations
@@ -50,32 +44,9 @@ def test_table1_subset_identical_across_backends():
     rows = [r for r in small_suite() if r.name in expected]
     assert {r.name for r in rows} == set(expected), "baseline rows missing from suite"
 
-    legacy = _counters(run_table1(rows=rows, bcp_backend="legacy"))
-    assert legacy == expected, "legacy run drifted from the PR 5 baseline"
-
     backends = ["python"] + (["native"] if native_available() else [])
     for backend in backends:
-        counters = _counters(run_table1(rows=rows, bcp_backend=backend))
-        assert counters == legacy, f"{backend} kernel changed the search"
-
-
-@pytest.mark.slow
-def test_table1_subset_identical_across_analyze_backends():
-    """The conflict-analysis plane (PR 9) composed with each data
-    plane: every (bcp_backend, analyze_backend) cell — including the
-    fused native step — must reproduce the PR 5 baseline counters."""
-    expected = json.loads(BASELINE.read_text())
-    rows = [r for r in small_suite() if r.name in expected]
-    assert {r.name for r in rows} == set(expected), "baseline rows missing from suite"
-
-    cells = [("legacy", "python"), ("python", "python")]
-    if native_available():
-        # Mixed planes and the fully fused cell.
-        cells += [("python", "native"), ("native", "python"), ("native", "native")]
-    for bcp, analyze in cells:
-        counters = _counters(
-            run_table1(rows=rows, bcp_backend=bcp, analyze_backend=analyze)
-        )
+        counters = _counters(run_table1(rows=rows, backend=backend))
         assert counters == expected, (
-            f"(bcp={bcp}, analyze={analyze}) changed the search"
+            f"{backend} plane drifted from the PR 5 baseline"
         )

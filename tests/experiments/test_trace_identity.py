@@ -2,9 +2,11 @@
 
 The trace stream records search-level events only (decisions,
 conflicts, learned lengths, backtracks, restarts, reductions, trail
-batches) — nothing from inside the propagation data plane.  Since the
-BCP backends (PR 7) are search-identical by contract, the traces they
-emit must be **byte-identical**, not merely equivalent.  Two pins:
+batches) — nothing from inside the data plane.  Since the two planes
+are search-identical by contract, the traces they emit must be
+**byte-identical**, not merely equivalent — including the conflict and
+learned events the native plane emits from its C-built analysis.  Two
+pins:
 
 * the Table-1 identity subset (the same 4 rows
   ``test_kernel_identity.py`` uses) traced under every backend
@@ -35,7 +37,7 @@ BASELINE = Path(__file__).resolve().parent.parent / "data" / "table1_pr5_baselin
 
 
 def _backends():
-    return ["legacy", "python"] + (["native"] if native_available() else [])
+    return ["python"] + (["native"] if native_available() else [])
 
 
 @pytest.mark.slow
@@ -44,16 +46,19 @@ def test_table1_subset_traces_byte_identical_across_backends(tmp_path):
     rows = [r for r in small_suite() if r.name in expected]
     assert {r.name for r in rows} == set(expected), "baseline rows missing from suite"
 
+    backends = _backends()
+    if len(backends) < 2:
+        pytest.skip("only one backend available")
     captures = {}
-    for backend in _backends():
+    for backend in backends:
         trace_dir = tmp_path / backend
-        run_table1(rows=rows, bcp_backend=backend, trace_dir=str(trace_dir))
+        run_table1(rows=rows, backend=backend, trace_dir=str(trace_dir))
         captures[backend] = {
             p.name: p.read_bytes() for p in sorted(trace_dir.iterdir())
         }
         assert captures[backend], f"{backend}: no traces written"
 
-    reference = captures.pop("legacy")
+    reference = captures.pop("python")
     # One file per (row, method, depth); every method of every row
     # traced at least one depth.
     assert len(reference) >= len(rows) * 3
@@ -63,7 +68,7 @@ def test_table1_subset_traces_byte_identical_across_backends(tmp_path):
         )
         for name, blob in reference.items():
             assert capture[name] == blob, (
-                f"{backend}: trace {name} is not byte-identical to legacy"
+                f"{backend}: trace {name} is not byte-identical to python"
             )
 
 
@@ -82,7 +87,7 @@ def test_fuzzer_kernel_traces_byte_identical_across_backends():
             rng = random.Random(FUZZ_SEED + index + 1_000_000)
             production, _ = _strategy_pairs(rng, formula.num_vars, index % 4)
             events = []
-            config = SolverConfig(bcp_backend=backend, trace_events=events)
+            config = SolverConfig(backend=backend, trace_events=events)
             CdclSolver(formula, strategy=production, config=config).solve()
             blobs[backend] = encode_events(events, formula.num_vars)
         reference = blobs[backends[0]]
@@ -91,35 +96,4 @@ def test_fuzzer_kernel_traces_byte_identical_across_backends():
             assert blobs[backend] == reference, (
                 f"instance {index}: {backend} trace differs from "
                 f"{backends[0]}"
-            )
-
-
-def test_fuzzer_analyze_traces_byte_identical_across_planes():
-    """PR 9: (bcp_backend, analyze_backend) cells — including the fused
-    native step, where the trace's conflict/learned events are emitted
-    from the C-produced analysis — must emit byte-identical traces."""
-    import random
-
-    from tests.properties.test_solver_differential import FUZZ_SEED
-
-    cells = [("legacy", "legacy"), ("python", "python"), ("legacy", "python")]
-    if native_available():
-        cells.append(("native", "native"))
-    for index in range(40):
-        formula, _ = make_instance(index)
-        blobs = {}
-        for bcp, analyze in cells:
-            rng = random.Random(FUZZ_SEED + index + 1_000_000)
-            production, _ = _strategy_pairs(rng, formula.num_vars, index % 4)
-            events = []
-            config = SolverConfig(
-                bcp_backend=bcp, analyze_backend=analyze, trace_events=events
-            )
-            CdclSolver(formula, strategy=production, config=config).solve()
-            blobs[(bcp, analyze)] = encode_events(events, formula.num_vars)
-        reference = blobs[cells[0]]
-        assert reference, f"instance {index}: empty trace"
-        for cell in cells[1:]:
-            assert blobs[cell] == reference, (
-                f"instance {index}: {cell} trace differs from {cells[0]}"
             )

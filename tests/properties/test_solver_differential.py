@@ -14,9 +14,8 @@ implication/xor chains), and each result is cross-checked three ways:
   retained seed scan-order reference strategies
   (``ScanOrderVsidsStrategy`` / ``ScanOrderRankedStrategy``) under the
   same solver configuration;
-* the two clause-arena element stores (``arena_storage="fast"`` vs
-  ``"compact"``) must run *search-identical* solves: same verdict,
-  same decisions/propagations/conflicts/learned counts, same model;
+* every backend leg must run the same search as the python reference
+  (see ``FUZZ_BACKENDS``);
 * a solver forked from an installed-prefix template (``CdclSolver(...,
   prefix=..., prefix_clauses=...)``, the template extended at two
   seeded cuts) must run the same search as the cold install, core
@@ -34,24 +33,17 @@ counterexample can be regenerated in isolation.  The environment knobs:
 ``FUZZ_SEED``
     Base seed (default 20040607).
 ``FUZZ_BACKENDS``
-    Comma-separated BCP backends to leg against the legacy loop
-    (default ``python,native``).  Each named backend re-runs every
-    instance under ``SolverConfig(bcp_backend=...)`` and must be
+    Comma-separated backends to leg against the reference run, which
+    is an explicit ``SolverConfig(backend="python")`` solve (default
+    ``python,native``).  Each named backend re-runs every instance in a
+    fresh solver under ``SolverConfig(backend=...)`` and must be
     *search-identical* — same verdict, same
     decisions/propagations/conflicts/learned counts, same model.  The
-    ``native`` leg is silently dropped on hosts where the compiled
-    kernel cannot be built (no cffi / no C compiler); set
-    ``FUZZ_BACKENDS=python`` (or ``""``) to trim the run.
-``FUZZ_ANALYZE_BACKENDS``
-    Comma-separated conflict-analysis backends to leg against the
-    legacy in-solver first-UIP loop (default ``python,native``).  The
-    ``python`` leg runs ``analyze_backend="python"`` over the python
-    data plane; the ``native`` leg runs the fully fused plane
-    (``bcp_backend="native"`` + ``analyze_backend="native"``, one FFI
-    crossing per conflict).  Each must be *search-identical* to the
-    legacy run — same verdict, same decisions/propagations/conflicts/
-    learned counts, same model.  ``native`` is silently dropped where
-    the compiled kernel cannot be built; set it to ``""`` to trim.
+    ``python`` leg catches state leaking between solvers; the
+    ``native`` leg runs the fused C step (propagate and first-UIP in
+    one FFI crossing per conflict) and is silently dropped on hosts
+    where the compiled kernel cannot be built (no cffi / no C
+    compiler).  Set ``FUZZ_BACKENDS=""`` to trim the run.
 ``FUZZ_TRACE``
     Set to ``1`` to add the replay-oracle leg (default off): each
     instance is re-solved with in-memory trace telemetry
@@ -104,7 +96,7 @@ from repro.sat.types import SolveResult
 FUZZ_INSTANCES = int(os.environ.get("FUZZ_INSTANCES", "2000"))
 FUZZ_SEED = int(os.environ.get("FUZZ_SEED", "20040607"))
 
-#: BCP backends legged against the legacy loop on every instance
+#: Backends legged against the python reference on every instance
 #: (``native`` is dropped, not failed, when it cannot be built here).
 FUZZ_BACKENDS = tuple(
     backend
@@ -115,26 +107,9 @@ FUZZ_BACKENDS = tuple(
     if backend and (backend != "native" or native_available())
 )
 
-#: Conflict-analysis backends legged against the legacy first-UIP loop
-#: on every instance (PR 9).  ``python`` exercises the seam's Python
-#: kernel over the python data plane; ``native`` the fused
-#: propagate-then-analyze C step.  (``native`` is dropped, not failed,
-#: when it cannot be built here.)
-FUZZ_ANALYZE_BACKENDS = tuple(
-    backend
-    for backend in (
-        name.strip()
-        for name in os.environ.get(
-            "FUZZ_ANALYZE_BACKENDS", "python,native"
-        ).split(",")
-    )
-    if backend and (backend != "native" or native_available())
-)
-
-#: The backend pair each analysis leg runs under (data plane, analysis
-#: plane): the native analysis kernel only fuses over the native BCP
-#: kernel, and the python leg keeps the whole pipeline pure-Python.
-_ANALYZE_LEG_PLANES = {"python": ("python", "python"), "native": ("native", "native")}
+#: The reference every backend leg is compared against: the pure-Python
+#: plane, which exists on every host.
+REFERENCE_BACKEND = "python"
 
 #: ``FUZZ_TRACE=1`` adds the replay-oracle leg (PR 8): every instance is
 #: re-solved with in-memory tracing and the trace is replayed through
@@ -286,7 +261,10 @@ def run_one(index: int):
     strategy_kind, phase_mode, minimize = CELLS[index % len(CELLS)]
     rng = random.Random(FUZZ_SEED + index + 1_000_000)
     production, reference = _strategy_pairs(rng, formula.num_vars, strategy_kind)
-    config = SolverConfig(phase_mode=phase_mode, minimize_learned=minimize)
+    config = SolverConfig(
+        phase_mode=phase_mode, minimize_learned=minimize,
+        backend=REFERENCE_BACKEND,
+    )
 
     solver = CdclSolver(formula, strategy=production, config=config)
     outcome = solver.solve()
@@ -294,37 +272,6 @@ def run_one(index: int):
         f"instance {index} (kind {index % 10}, cell "
         f"{(production.name, phase_mode, minimize)})"
     )
-
-    # Storage leg: the compact (array('i')) arena must run the exact
-    # same search as the fast (list-word) default — identical verdict
-    # and identical search-derived counters, not just agreement.
-    rng_compact = random.Random(FUZZ_SEED + index + 1_000_000)
-    production_compact, _ = _strategy_pairs(
-        rng_compact, formula.num_vars, strategy_kind
-    )
-    compact_outcome = CdclSolver(
-        formula,
-        strategy=production_compact,
-        config=replace(config, arena_storage="compact"),
-    ).solve()
-    assert compact_outcome.status is outcome.status, (
-        f"{ctx}: compact arena verdict differs"
-    )
-    assert (
-        compact_outcome.stats.decisions,
-        compact_outcome.stats.propagations,
-        compact_outcome.stats.conflicts,
-        compact_outcome.stats.learned_clauses,
-    ) == (
-        outcome.stats.decisions,
-        outcome.stats.propagations,
-        outcome.stats.conflicts,
-        outcome.stats.learned_clauses,
-    ), f"{ctx}: compact arena search diverged from fast"
-    if outcome.status is SolveResult.SAT:
-        assert compact_outcome.model == outcome.model, (
-            f"{ctx}: compact arena model differs"
-        )
 
     # Template-fork leg: a solver forked from an installed-prefix
     # template (extended in two steps, at seeded cuts) must run the
@@ -361,9 +308,9 @@ def run_one(index: int):
         outcome.core_clauses,
     ), f"{ctx}: template fork (cuts {first_cut}, {second_cut}) diverged"
 
-    # Backend legs (PR 7): every enabled BCP kernel must run the exact
-    # same search as the legacy tuple-table loop — the kernels are a
-    # data-plane swap, never a heuristic change.
+    # Backend legs: every enabled plane must run the exact same search
+    # as the python reference — a plane is a data-plane swap, never a
+    # heuristic change.
     for backend in FUZZ_BACKENDS:
         rng_kernel = random.Random(FUZZ_SEED + index + 1_000_000)
         production_kernel, _ = _strategy_pairs(
@@ -372,7 +319,7 @@ def run_one(index: int):
         kernel_outcome = CdclSolver(
             formula,
             strategy=production_kernel,
-            config=replace(config, bcp_backend=backend),
+            config=replace(config, backend=backend),
         ).solve()
         assert kernel_outcome.status is outcome.status, (
             f"{ctx}: {backend} kernel verdict differs"
@@ -387,46 +334,10 @@ def run_one(index: int):
             outcome.stats.propagations,
             outcome.stats.conflicts,
             outcome.stats.learned_clauses,
-        ), f"{ctx}: {backend} kernel search diverged from legacy"
+        ), f"{ctx}: {backend} kernel search diverged from the reference"
         if outcome.status is SolveResult.SAT:
             assert kernel_outcome.model == outcome.model, (
                 f"{ctx}: {backend} kernel model differs"
-            )
-
-    # Analysis legs (PR 9): every enabled conflict-analysis backend
-    # must run the exact same search as the legacy in-solver first-UIP
-    # loop — the analysis kernels (and the fused native step) are a
-    # plane swap, never a heuristic change.
-    for analyze_leg in FUZZ_ANALYZE_BACKENDS:
-        bcp_plane, analyze_plane = _ANALYZE_LEG_PLANES[analyze_leg]
-        rng_analyze = random.Random(FUZZ_SEED + index + 1_000_000)
-        production_analyze, _ = _strategy_pairs(
-            rng_analyze, formula.num_vars, strategy_kind
-        )
-        analyze_outcome = CdclSolver(
-            formula,
-            strategy=production_analyze,
-            config=replace(
-                config, bcp_backend=bcp_plane, analyze_backend=analyze_plane
-            ),
-        ).solve()
-        assert analyze_outcome.status is outcome.status, (
-            f"{ctx}: {analyze_leg} analysis verdict differs"
-        )
-        assert (
-            analyze_outcome.stats.decisions,
-            analyze_outcome.stats.propagations,
-            analyze_outcome.stats.conflicts,
-            analyze_outcome.stats.learned_clauses,
-        ) == (
-            outcome.stats.decisions,
-            outcome.stats.propagations,
-            outcome.stats.conflicts,
-            outcome.stats.learned_clauses,
-        ), f"{ctx}: {analyze_leg} analysis search diverged from legacy"
-        if outcome.status is SolveResult.SAT:
-            assert analyze_outcome.model == outcome.model, (
-                f"{ctx}: {analyze_leg} analysis model differs"
             )
 
     # Replay-oracle leg (PR 8, FUZZ_TRACE=1): re-run the instance with
@@ -611,7 +522,10 @@ def run_one_incremental(index: int) -> None:
     """
     rng = random.Random(FUZZ_SEED + 5_000_000 + index)
     _strategy_kind, phase_mode, minimize = CELLS[index % len(CELLS)]
-    config = SolverConfig(phase_mode=phase_mode, minimize_learned=minimize)
+    config = SolverConfig(
+        phase_mode=phase_mode, minimize_learned=minimize,
+        backend=REFERENCE_BACKEND,
+    )
     num_vars = rng.randint(4, 10)
     incremental = CdclSolver(CnfFormula(num_vars), config=config)
     # Kernel twins driven through the identical call sequence: this is
@@ -620,7 +534,7 @@ def run_one_incremental(index: int) -> None:
     kernel_twins = {
         backend: CdclSolver(
             CnfFormula(num_vars),
-            config=replace(config, bcp_backend=backend),
+            config=replace(config, backend=backend),
         )
         for backend in FUZZ_BACKENDS
     }

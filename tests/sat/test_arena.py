@@ -4,10 +4,9 @@ Three families:
 
 * unit — block layout, flags, tombstones and in-place compaction of
   :class:`repro.sat.arena.ClauseArena` itself;
-* equivalence — the ``fast`` (list words) and ``compact``
-  (``array('i')`` words) backing stores drive bit-identical searches;
 * solver integration — footprint reporting, literal retention for
-  proofs, and compaction during learned-DB reduction without a CDG.
+  proofs, and compaction during learned-DB reduction without a CDG;
+* capacity — the word ceiling.
 """
 
 import pytest
@@ -21,8 +20,8 @@ from repro.sat.arena import (
     TOMBSTONE,
     ClauseArenaFullError,
 )
+from repro.sat.kernel import native_available
 from repro.workloads.cnf_families import pigeonhole
-from tests.conftest import random_formula
 
 
 class TestArenaUnit:
@@ -56,9 +55,8 @@ class TestArenaUnit:
         arena.tombstone(cid)
         assert arena.dead_words == HEADER_WORDS + 4
 
-    @pytest.mark.parametrize("storage", ["fast", "compact"])
-    def test_compact_slides_live_blocks_and_keeps_ids(self, storage):
-        arena = ClauseArena(storage)
+    def test_compact_slides_live_blocks_and_keeps_ids(self):
+        arena = ClauseArena()
         kept_a = arena.add((0, 2))
         doomed = arena.add((4, 6, 8))
         kept_b = arena.add((1, 3, 5, 7))
@@ -86,45 +84,7 @@ class TestArenaUnit:
         assert fp["dead_words"] == HEADER_WORDS + 2
         assert 0 < fp["tombstone_ratio"] < 1
         assert fp["clauses"] == 2
-        assert fp["bytes"] > 0
-
-    def test_rejects_unknown_storage(self):
-        with pytest.raises(ValueError):
-            ClauseArena("mmap")
-
-
-class TestStorageEquivalence:
-    """fast and compact stores must walk identical searches."""
-
-    def _stats(self, formula, storage):
-        solver = CdclSolver(
-            formula, config=SolverConfig(arena_storage=storage)
-        )
-        outcome = solver.solve()
-        stats = outcome.stats
-        return (
-            outcome.status,
-            stats.decisions,
-            stats.conflicts,
-            stats.propagations,
-            stats.learned_literals,
-            outcome.core_clauses,
-        )
-
-    def test_pigeonhole_identical(self):
-        formula = pigeonhole(5)
-        assert self._stats(formula, "fast") == self._stats(formula, "compact")
-
-    def test_random_instances_identical(self, rng):
-        for _ in range(25):
-            formula = random_formula(rng, rng.randint(3, 10), rng.randint(4, 40))
-            assert self._stats(formula, "fast") == self._stats(
-                formula, "compact"
-            )
-
-    def test_bad_storage_config_rejected(self):
-        with pytest.raises(ValueError):
-            CdclSolver(CnfFormula(1), config=SolverConfig(arena_storage="x"))
+        assert fp["bytes"] == 4 * (2 * HEADER_WORDS + 5) + 2 * (8 + 8 + 1)
 
 
 class TestSolverIntegration:
@@ -202,10 +162,9 @@ class TestArenaCapacity:
         cid = arena.add((8,))  # 14 words: still fits
         assert arena.literals(cid) == (8,)
 
-    @pytest.mark.parametrize("storage", ["fast", "compact"])
-    def test_ceiling_enforced_under_both_stores(self, storage, monkeypatch):
+    def test_ceiling_enforced(self, monkeypatch):
         monkeypatch.setattr(ClauseArena, "word_limit", 8)
-        arena = ClauseArena(storage)
+        arena = ClauseArena()
         arena.add((0, 2))
         with pytest.raises(MemoryError):
             arena.add((4, 6, 8))
@@ -222,13 +181,20 @@ class TestArenaCapacity:
             CdclSolver(formula).solve()
 
     @pytest.mark.parametrize(
-        "backend", ["legacy", "python"]
+        "backend",
+        [
+            "python",
+            pytest.param(
+                "native",
+                marks=pytest.mark.skipif(
+                    not native_available(), reason="native kernel not buildable here"
+                ),
+            ),
+        ],
     )
     def test_incremental_add_clause_hits_ceiling(self, backend, monkeypatch):
         monkeypatch.setattr(ClauseArena, "word_limit", 10)
-        solver = CdclSolver(
-            CnfFormula(3), config=SolverConfig(bcp_backend=backend)
-        )
+        solver = CdclSolver(CnfFormula(3), config=SolverConfig(backend=backend))
         solver.add_clause([0, 2, 4])  # 5 words
         with pytest.raises(MemoryError, match="clause arena full"):
             solver.add_clause([1, 3, 5, 0])  # would be 11 > 10

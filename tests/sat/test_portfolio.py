@@ -29,10 +29,10 @@ from repro.sat.types import SolveResult
 #: (CI runs 24 via the env knob; locally 60).
 PORTFOLIO_FUZZ_INSTANCES = int(os.environ.get("PORTFOLIO_FUZZ_INSTANCES", "60"))
 
-#: BCP backend the verdict-agreement race runs under (the CI
+#: Solver backend the verdict-agreement race runs under (the CI
 #: portfolio-smoke job sets this per matrix leg; searches are
 #: byte-identical across backends, so the expectations never change).
-PORTFOLIO_BCP_BACKEND = os.environ.get("PORTFOLIO_BCP_BACKEND", "legacy")
+PORTFOLIO_BACKEND = os.environ.get("PORTFOLIO_BACKEND", "auto")
 
 TWO_MEMBERS = [
     PortfolioMember(name="vsids/save", strategy="vsids"),
@@ -362,7 +362,7 @@ def test_portfolio_verdicts_agree_with_serial():
         portfolio = PortfolioSolver(
             formula,
             members=list(TWO_MEMBERS),
-            base_config=SolverConfig(bcp_backend=PORTFOLIO_BCP_BACKEND),
+            base_config=SolverConfig(backend=PORTFOLIO_BACKEND),
             deterministic=True,
             epoch_conflicts=64,
         ).solve()

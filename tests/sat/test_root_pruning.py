@@ -62,10 +62,11 @@ class TestPrunedClauseStaysSound:
         outcome = solver.solve()
         assert outcome.stats.root_pruned_clauses >= installed
         pruned = solver._root_pruned
+        watches = solver._kernel.watch_snapshot()
         for cid in pruned:
             lits = solver.clause_literals(cid)
             assert lits  # literal list retained
-            for table in (solver._watches, solver._watches_bin, solver._watches_tern):
+            for table in watches.values():
                 for watch_list in table:
                     assert all(entry[0] != cid for entry in watch_list)
 

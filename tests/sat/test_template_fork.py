@@ -27,21 +27,11 @@ _NATIVE = pytest.mark.skipif(
 )
 
 
-def _cell(bcp, analyze, storage="fast"):
-    config = SolverConfig(
-        bcp_backend=bcp, analyze_backend=analyze, arena_storage=storage
-    )
-    marks = [_NATIVE] if "native" in (bcp, analyze) else []
-    return pytest.param(config, id=f"{bcp}-{analyze}-{storage}", marks=marks)
-
-
-#: Every (bcp, analyze) backend cell, plus the compact arena store on
-#: the legacy plane (the kernel planes always use the compact store).
+#: Both data planes.
 CELLS = [
-    _cell(bcp, analyze)
-    for bcp in ("legacy", "python", "native")
-    for analyze in ("legacy", "python", "native")
-] + [_cell("legacy", "legacy", "compact")]
+    pytest.param(SolverConfig(backend="python"), id="python"),
+    pytest.param(SolverConfig(backend="native"), id="native", marks=[_NATIVE]),
+]
 
 
 def _template(config):
@@ -65,7 +55,6 @@ def _installed_state(solver):
         "arena.flags": bytes(arena.flags),
         "arena.activity": list(arena.activity),
         "arena.dead_words": arena.dead_words,
-        "arena.storage": arena.storage,
         "activity_alias": solver._activity is arena.activity,
         "lits_view": list(solver._lits_view),
         "lit_counts": list(solver._lit_counts),
@@ -89,25 +78,20 @@ def _installed_state(solver):
         "final_conflict": (
             solver.cdg._final_antecedents if solver.cdg is not None else None
         ),
-        "watches": [list(ws) for ws in solver._watches],
-        "watches_bin": [list(ws) for ws in solver._watches_bin],
-        "watches_tern": [list(ws) for ws in solver._watches_tern],
     }
     kernel = solver._kernel
-    if kernel is not None:
-        for name in ("long", "bin", "tern"):
-            cols = getattr(kernel, name)
-            for column in ("offs", "size", "caps", "data"):
-                state[f"{name}.{column}"] = list(getattr(cols, column))
-            state[f"{name}.used"] = cols.used
-    if solver._akernel is not None:
-        # A cold solver mirrors lazily at its first analysis; a fork
-        # inherits its template's mirror.  Synced, they must agree.
-        solver._akernel.sync_mirror()
-        mirror = solver._akernel.mirror
-        state["mirror"] = (
-            list(mirror.data), list(mirror.refs), mirror.synced, mirror.dead
-        )
+    for name in ("long", "bin", "tern"):
+        cols = getattr(kernel, name)
+        for column in ("offs", "size", "caps", "data"):
+            state[f"{name}.{column}"] = list(getattr(cols, column))
+        state[f"{name}.used"] = cols.used
+    # A cold solver mirrors lazily at its first analysis; a fork
+    # inherits its template's mirror.  Synced, they must agree.
+    solver._akernel.sync_mirror()
+    mirror = solver._akernel.mirror
+    state["mirror"] = (
+        list(mirror.data), list(mirror.refs), mirror.synced, mirror.dead
+    )
     return state
 
 
@@ -198,7 +182,7 @@ def test_fork_of_root_unsat_prefix(config):
     assert set(outcome.core_clauses) <= set(range(first.num_clauses))
 
 
-@pytest.mark.parametrize("config", CELLS[:1] + CELLS[-1:])
+@pytest.mark.parametrize("config", CELLS)
 def test_fork_with_root_assignments_before_the_cut(config):
     formula = _root_unsat_formula([])
     # Drop the contradiction: a consistent prefix whose install
@@ -223,8 +207,13 @@ def test_template_guards():
     with pytest.raises(ValueError, match="more variables"):
         _fork(shallow.formula, config, template, shallow.property_clause_index)
     with pytest.raises(ValueError, match="template config differs"):
-        _fork(deep.formula, replace(config, arena_storage="compact"), template,
-              deep.property_clause_index)
+        _fork(deep.formula, replace(config, prune_root_satisfied=False),
+              template, deep.property_clause_index)
+    if native_available():
+        python = _template(replace(config, backend="python"))
+        with pytest.raises(ValueError, match="differs in backend"):
+            _fork(deep.formula, replace(config, backend="native"), python,
+                  deep.property_clause_index)
     other = CnfFormula.adopt(deep.formula.num_vars, list(deep.formula.clauses))
     other._clauses[deep.property_clause_index - 1] = other.clause(0)
     with pytest.raises(ValueError, match="does not extend"):
@@ -240,7 +229,7 @@ def test_fork_shares_nothing_mutable_with_its_template():
     leave the template exactly as installed."""
     circuit, prop = instance_by_name("03_b").build()
     unroller = Unroller(circuit, prop)
-    for config in (SolverConfig(), SolverConfig(bcp_backend="python")):
+    for config in (SolverConfig(), SolverConfig(backend="python")):
         template = _template(config)
         instance = unroller.instance(6)
         _fork(instance.formula, config, template,
