@@ -297,7 +297,7 @@ def measure_portfolio_race(repeat: int) -> Dict[str, float]:
       even executed serially on one core: sharing cuts the combined
       search below what the best member needs alone.
     * ``sharing_hit_rate`` — clauses actually *installed* by peers
-      (summed ``report.imported``) / the bus fan-out (published
+      (summed ``report.stats.imported_clauses``) / the bus fan-out (published
       clauses x (members - 1)): the fraction of shared clauses that
       reached a peer's clause database before the race ended.  A
       broken import leg shows up here as 0 even when exports flow.
@@ -362,11 +362,11 @@ def measure_portfolio_race(repeat: int) -> Dict[str, float]:
                 gc.enable()
         assert result.status.value == "unsat"
         if best is None or elapsed < best["time_s"]:
-            propagations = sum(r.propagations for r in result.reports)
-            conflicts = sum(r.conflicts for r in result.reports)
-            decisions = sum(r.decisions for r in result.reports)
-            exported = sum(r.exported for r in result.reports)
-            imported = sum(r.imported for r in result.reports)
+            propagations = sum(r.stats.propagations for r in result.reports)
+            conflicts = sum(r.stats.conflicts for r in result.reports)
+            decisions = sum(r.stats.decisions for r in result.reports)
+            exported = sum(r.stats.exported_clauses for r in result.reports)
+            imported = sum(r.stats.imported_clauses for r in result.reports)
             fanout = result.shared_clauses * (len(PORTFOLIO_MEMBERS) - 1)
             best = {
                 "time_s": elapsed,

@@ -170,13 +170,12 @@ class BmcEngine:
         strategy = self.make_strategy(instance, k)
         config = self.solver_config
         if self.trace_dir is not None:
-            stem = os.path.join(self.trace_dir, f"{self.trace_name}_d{k:03d}")
-            overrides = {"trace_path": stem + ".rtrc"}
-            # Access-stream sidecar rides the same per-depth naming so
-            # `python -m repro.trace <dir>` picks both up in one pass.
-            if config.profile_access:
-                overrides["access_stream_path"] = stem + ".racc"
-            config = dc_replace(config, **overrides)
+            config = dc_replace(
+                config,
+                trace_path=os.path.join(
+                    self.trace_dir, f"{self.trace_name}_d{k:03d}.rtrc"
+                ),
+            )
         if self._template is None:
             # Never solved, so it needs no CDG: a root contradiction met
             # while installing is handed to each fork's own CDG.

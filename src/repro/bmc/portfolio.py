@@ -51,6 +51,7 @@ from repro.sat.portfolio import (
     carve_epoch_budgets,
 )
 from repro.sat.solver import CdclSolver, SolverConfig
+from repro.sat.stats import SolverStats
 from repro.sat.types import SolveOutcome, SolveResult
 from repro.bmc.engine import BmcEngine, resolve_unroller
 from repro.bmc.incremental import decode_trace, feed_frames
@@ -290,7 +291,7 @@ class PortfolioBmcEngine(BmcEngine):
                     if depth_conflicts:
                         # Best-effort live counter for members that end
                         # up cancelled: conflicts in their current depth.
-                        report.conflicts = depth_conflicts
+                        report.stats.conflicts = depth_conflicts
                     # A depth every member has passed can never be
                     # shared into again: retire its bus (keeping the
                     # counters) so coordinator memory stays bounded by
@@ -380,10 +381,12 @@ class PortfolioBmcEngine(BmcEngine):
             if index == winner_index:
                 report.winner = True
                 report.status = result.status.value
-                report.conflicts = result.total_conflicts
-                report.decisions = result.total_decisions
-                report.propagations = result.total_propagations
-                report.solve_time = sum(d.solve_time for d in result.per_depth)
+                report.stats = SolverStats(
+                    decisions=result.total_decisions,
+                    propagations=result.total_propagations,
+                    conflicts=result.total_conflicts,
+                    solve_time=sum(d.solve_time for d in result.per_depth),
+                )
             elif index in results:
                 report.status = results[index].status.value
             else:
@@ -440,20 +443,18 @@ class PortfolioBmcEngine(BmcEngine):
             if outcome is None:
                 outcome = SolveOutcome(status=SolveResult.UNKNOWN)
             else:
-                # The Table-1 metric is the depth's SAT cost; for a race
-                # that is the wall time of the race itself (spawn and
-                # bus overhead included — the honest number).
-                outcome.stats.solve_time = result.wall_time
                 # The winner's outcome.stats cover only its final epoch
                 # (stats reset on each solve() re-entry); the depth's
-                # real search work is the cumulative member report.
-                for report in result.reports:
-                    if report.winner:
-                        outcome.stats.decisions = report.decisions
-                        outcome.stats.propagations = report.propagations
-                        outcome.stats.conflicts = report.conflicts
-                        outcome.stats.restarts = report.restarts
-                        break
+                # real search work is the member report's merged stats.
+                # Its solve_time becomes the Table-1 metric, the depth's
+                # SAT cost: for a race, the wall time of the race itself
+                # (spawn and bus overhead included — the honest number).
+                winner_stats = next(
+                    report.stats for report in result.reports if report.winner
+                )
+                outcome.stats = dc_replace(
+                    winner_stats, solve_time=result.wall_time
+                )
             winner = result.winner
             self.sharing_log.append((
                 k, winner, True, result.epochs, result.shared_clauses,
@@ -711,11 +712,7 @@ class IncrementalPortfolioBmc:
             strategies = [self._strategy_for(index) for index in range(num)]
             winner_index: Optional[int] = None
             winner_outcome: Optional[SolveOutcome] = None
-            depth_stats = [
-                dict(conflicts=0, decisions=0, propagations=0, solve_time=0.0,
-                     root_pruned=0)
-                for _ in range(num)
-            ]
+            depth_stats = [SolverStats() for _ in range(num)]
             budget_hit = False
             # Caller-supplied max_conflicts/max_propagations/
             # max_decisions cap each member's cumulative work per
@@ -735,11 +732,7 @@ class IncrementalPortfolioBmc:
                     budgets = carve_epoch_budgets(
                         self.epoch_conflicts,
                         caps,
-                        (
-                            acc["conflicts"],
-                            acc["propagations"],
-                            acc["decisions"],
-                        ),
+                        (acc.conflicts, acc.propagations, acc.decisions),
                     )
                     if budgets is None:
                         continue
@@ -754,22 +747,10 @@ class IncrementalPortfolioBmc:
                     outcome = solver.solve(
                         assumptions=[assumption], strategy=strategies[index]
                     )
-                    stats = outcome.stats
-                    acc = depth_stats[index]
-                    acc["conflicts"] += stats.conflicts
-                    acc["decisions"] += stats.decisions
-                    acc["propagations"] += stats.propagations
-                    acc["solve_time"] += stats.solve_time
-                    acc["root_pruned"] += stats.root_pruned_clauses
+                    depth_stats[index].merge(outcome.stats)
                     report = self.reports[index]
                     report.epochs += 1
-                    report.conflicts += stats.conflicts
-                    report.decisions += stats.decisions
-                    report.propagations += stats.propagations
-                    report.restarts += stats.restarts
-                    report.exported += stats.exported_clauses
-                    report.imported += stats.imported_clauses
-                    report.solve_time += stats.solve_time
+                    report.stats.merge(outcome.stats)
                     bus.publish(index, solver.drain_exported())
                     if outcome.status is not SolveResult.UNKNOWN:
                         finishers.append((index, outcome))
@@ -799,10 +780,10 @@ class IncrementalPortfolioBmc:
                     status=outcome.status.value,
                     num_vars=self._solvers[winner_index].num_vars,
                     num_clauses=self._fed[winner_index],
-                    decisions=acc["decisions"],
-                    propagations=acc["propagations"],
-                    conflicts=acc["conflicts"],
-                    solve_time=acc["solve_time"],
+                    decisions=acc.decisions,
+                    propagations=acc.propagations,
+                    conflicts=acc.conflicts,
+                    solve_time=acc.solve_time,
                     core_clauses=(
                         len(outcome.core_clauses)
                         if outcome.core_clauses is not None
@@ -813,7 +794,7 @@ class IncrementalPortfolioBmc:
                         if outcome.core_vars is not None
                         else None
                     ),
-                    root_pruned=acc["root_pruned"],
+                    root_pruned=acc.root_pruned_clauses,
                     winner=self._members[winner_index].name,
                 )
             )

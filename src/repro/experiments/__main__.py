@@ -70,8 +70,9 @@ def main(argv=None) -> int:
         "--trace", metavar="DIR", default=None,
         help="binary solver-trace telemetry for Table-1 runs: write one "
         "versioned trace per (row, method, depth) into DIR (created if "
-        "missing); inspect with `python -m repro.trace FILE` "
-        "(see repro.sat.trace for the format)",
+        "missing); inspect with `python -m repro.trace DIR` "
+        "(see repro.sat.trace for the format); with --profile-access "
+        "each trace also carries sampled ACCESS events",
     )
     parser.add_argument(
         "--progress", type=int, nargs="?", const=2048, default=None,
@@ -85,9 +86,10 @@ def main(argv=None) -> int:
         "--profile-access", action="store_true",
         help="per-structure access profiling for Table-1 runs "
         "(SolverConfig.profile_access): counts arena/watch/trail/heap "
-        "touches without changing the search; with --trace DIR also "
-        "writes per-depth .racc access-stream sidecars for "
-        "`python -m repro.trace DIR`",
+        "touches without changing the search; with --trace DIR each "
+        "depth's trace also samples the clause IDs and arena offsets "
+        "conflict analysis touched (ACCESS events, reported by "
+        "`python -m repro.trace DIR`)",
     )
     parser.add_argument(
         "--portfolio", action="store_true",

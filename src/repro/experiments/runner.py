@@ -103,7 +103,7 @@ class _ProgressPrinter:
 
     Rates come from ``time.perf_counter`` deltas between firings —
     taken *here*, in the experiment layer, never inside the solver
-    (search state stays clock-free; see ``CdclSolver.progress_snapshot``).
+    (search state stays clock-free; see ``CdclSolver.snapshot``).
     Module-level and attribute-only so instances survive the ``--jobs``
     pool's pickling.
     """
@@ -113,7 +113,7 @@ class _ProgressPrinter:
         self._last_time: Optional[float] = None
         self._last_conflicts = 0
 
-    def __call__(self, snap: Dict[str, int]) -> None:
+    def __call__(self, snap: Dict[str, float]) -> None:
         now = time.perf_counter()
         rate = ""
         if self._last_time is not None:
@@ -127,9 +127,9 @@ class _ProgressPrinter:
             f"    [{self.label}] conflicts={snap['conflicts']} "
             f"decisions={snap['decisions']} "
             f"propagations={snap['propagations']} "
-            f"learned={snap['learned']} "
-            f"trail={snap['trail']}/{snap['vars']} "
-            f"level={snap['level']}{rate}",
+            f"learned={snap['learned_live']} "
+            f"trail={snap['trail_depth']}/{snap['vars']} "
+            f"level={snap['decision_level']}{rate}",
             file=sys.stderr,
             flush=True,
         )
@@ -170,8 +170,8 @@ def make_engine(
     ``progress=N`` prints a live stderr line every ``N`` conflicts
     (``SolverConfig.on_progress``).  ``profile_access=True`` turns on
     per-structure access counting (``SolverConfig.profile_access``) and
-    — combined with ``trace_dir`` — per-depth ``.racc`` access-stream
-    sidecars next to the traces; both are search-identical overlays.
+    — combined with ``trace_dir`` — sampled ACCESS events inside each
+    depth's trace; both are search-identical overlays.
     """
     if encoding_cache is _DEFAULT_CACHE:
         encoding_cache = default_encoding_cache()
@@ -245,7 +245,11 @@ def run_instance(
     ``wall_time`` covers the *whole* call — circuit build + unroller
     setup (``build_time``, ~0 on an encoding-cache hit) plus the engine
     run — so cache savings show up in the wall clock rather than
-    silently vanishing from it.
+    silently vanishing from it.  ``engine_kwargs`` go to
+    :func:`make_engine` (``trace_dir``, ``progress``,
+    ``profile_access``, ...): with both ``trace_dir`` and
+    ``profile_access``, each depth's ``.rtrc`` also carries the sampled
+    ACCESS events ``python -m repro.trace`` reports on.
     """
     build_start = time.perf_counter()
     engine = make_engine(instance, strategy, solver_config=solver_config, **engine_kwargs)

@@ -211,8 +211,8 @@ def run_table1(
     ``repro.sat.trace`` and ``python -m repro.trace``.
     ``progress=N`` prints a live stderr line every ``N`` conflicts
     inside each solve; ``profile_access=True`` adds per-structure
-    access counting (and, with ``trace_dir``, per-depth ``.racc``
-    sidecars for ``python -m repro.trace``) — both are
+    access counting (and, with ``trace_dir``, sampled ACCESS events in
+    each trace for ``python -m repro.trace``) — both are
     search-identical (see ``repro.experiments.runner.make_engine``).
     """
     suite = list(rows) if rows is not None else table1_suite()

@@ -1,172 +1,55 @@
-"""The sampled access-stream sidecar (``.racc``): RTRC-style varint
-framing for (structure, offset) events.
+"""The sampled memory-access stream: ACCESS events in the RTRC trace.
 
 While the flat raw counters (``repro.sat.profile``) answer "*how
-much* does each structure get touched", the sidecar answers *where*:
-a byte stream of ``(structure_id, offset)`` events — clause IDs and
-arena word offsets touched by conflict analysis, sampled every
-``SolverConfig.access_sample_every`` conflicts at search level (never
-inside the hot loops), cheap enough to leave on for long runs and
-dense enough for offline locality analysis (hot-clause ranking,
-offset histograms, reuse-distance approximation).
-
-Framing (little-endian varints, one per event)::
-
-    magic "RACC" | version u8 | varint sample_every | events...
-    event = varint( zigzag(offset - last[sid]) << 3 | sid )
-
-Offsets are delta-encoded per structure space (monotone scans cost
-one byte per event); the 3 low bits carry the structure ID, so a
-whole event is a single varint — the same ~1-3 bytes/event budget the
-RTRC trace hits.
+much* does each structure get touched", the access stream answers
+*where*: ``(structure_id, offset)`` events — clause IDs and arena word
+offsets touched by conflict analysis, plus the trail depth — sampled
+every :data:`ACCESS_SAMPLE_EVERY` conflicts at search level (never
+inside the hot loops).  A traced solve with
+``SolverConfig.profile_access`` on writes them into its own ``.rtrc``
+as ACCESS events (wire format: ``repro.sat.trace``; the payload is a
+per-structure zigzag offset delta, ~1-3 bytes per event).  This module
+re-exports the structure spaces and turns the events of one or more
+traces into an offline locality report (hot-clause ranking, offset
+histograms, reuse-distance approximation) — ``python -m repro.trace``
+renders it beside the trace report.
 """
 
 from __future__ import annotations
 
 import io
-import os
 from collections import Counter as _TallyCounter
-from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
+
+from repro.sat.trace import (
+    ACCESS_SAMPLE_EVERY,
+    EV_ACCESS,
+    SID_ARENA,
+    SID_CLAUSE,
+    SID_NAMES,
+    SID_TRAIL,
+    TraceReader,
+)
 
 __all__ = [
-    "ACCESS_MAGIC",
-    "ACCESS_VERSION",
+    "ACCESS_SAMPLE_EVERY",
     "SID_CLAUSE",
     "SID_ARENA",
     "SID_TRAIL",
     "SID_NAMES",
-    "AccessStreamWriter",
-    "read_access_stream",
+    "access_events",
     "analyze_access_stream",
+    "render_access_report",
 ]
 
-ACCESS_MAGIC = b"RACC"
-ACCESS_VERSION = 1
 
-# Structure-ID spaces (3 bits available: 0..7).
-SID_CLAUSE = 0  # clause IDs resolved over by conflict analysis
-SID_ARENA = 1   # arena word offsets of those clauses' blocks
-SID_TRAIL = 2   # trail length at each sampled conflict
-
-SID_NAMES = {SID_CLAUSE: "clause", SID_ARENA: "arena", SID_TRAIL: "trail"}
-
-#: Flush the byte buffer past this size (matches the trace writer).
-_FLUSH_THRESHOLD = 1 << 16
-
-
-class AccessStreamWriter:
-    """Buffered sidecar writer.
-
-    ``record_block`` is the batch emitter the solver calls once per
-    sampled conflict (a handful of antecedent IDs + arena refs), so it
-    follows the hot-path discipline even though its call rate is
-    conflict-granular, not per-access.
-    """
-
-    def __init__(self, path_or_file: object, sample_every: int = 1) -> None:
-        if hasattr(path_or_file, "write"):
-            self._fh: BinaryIO = path_or_file  # type: ignore[assignment]
-            self._owns = False
-        else:
-            self._fh = open(os.fspath(path_or_file), "wb")  # type: ignore[arg-type]
-            self._owns = True
-        self._buf = bytearray()
-        self._buf.extend(ACCESS_MAGIC)
-        self._buf.append(ACCESS_VERSION)
-        value = sample_every
-        while value > 0x7F:
-            self._buf.append(0x80 | (value & 0x7F))
-            value >>= 7
-        self._buf.append(value)
-        # Per-structure last offset for delta encoding.
-        self._last = [0] * 8
-        self.events = 0
-
-    def record_block(self, sid: int, offsets: Sequence[int]) -> None:  # solcheck: hot
-        """Append one event per offset in the structure space ``sid``."""
-        buf = self._buf
-        append = buf.append
-        last = self._last[sid]
-        n = 0
-        for off in offsets:
-            d = off - last
-            last = off
-            e = (((d << 1) ^ (d >> 63)) << 3) | sid
-            while e > 0x7F:
-                append(0x80 | (e & 0x7F))
-                e >>= 7
-            append(e)
-            n += 1
-        self._last[sid] = last
-        self.events += n
-        if len(buf) >= _FLUSH_THRESHOLD:
-            self._fh.write(buf)
-            del buf[:]
-
-    def record(self, sid: int, offset: int) -> None:
-        self.record_block(sid, (offset,))
-
-    def flush(self) -> None:
-        if self._buf:
-            self._fh.write(self._buf)
-            del self._buf[:]
-        self._fh.flush()
-
-    def close(self) -> None:
-        self.flush()
-        if self._owns:
-            self._fh.close()
-
-
-def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    shift = 0
-    value = 0
-    while True:
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        shift += 7
-
-
-def read_access_stream(path_or_file: object) -> Iterator[Tuple[int, int]]:
-    """Yield ``(sid, offset)`` events from a ``.racc`` capture."""
-    if hasattr(path_or_file, "read"):
-        data = path_or_file.read()  # type: ignore[union-attr]
-    else:
-        with open(os.fspath(path_or_file), "rb") as fh:  # type: ignore[arg-type]
-            data = fh.read()
-    if data[:4] != ACCESS_MAGIC:
-        raise ValueError("not an access stream: bad magic")
-    version = data[4]
-    if version != ACCESS_VERSION:
-        raise ValueError(f"unsupported access-stream version {version}")
-    pos = 5
-    _sample_every, pos = _read_varint(data, pos)
-    last = [0] * 8
-    n = len(data)
-    while pos < n:
-        packed, pos = _read_varint(data, pos)
-        sid = packed & 0x7
-        z = packed >> 3
-        delta = (z >> 1) ^ -(z & 1)
-        offset = last[sid] + delta
-        last[sid] = offset
-        yield sid, offset
-
-
-def stream_sample_every(path_or_file: object) -> int:
-    """The ``sample_every`` recorded in a capture's header."""
-    if hasattr(path_or_file, "read"):
-        head = path_or_file.read(16)  # type: ignore[union-attr]
-    else:
-        with open(os.fspath(path_or_file), "rb") as fh:  # type: ignore[arg-type]
-            head = fh.read(16)
-    if head[:4] != ACCESS_MAGIC:
-        raise ValueError("not an access stream: bad magic")
-    value, _pos = _read_varint(head, 5)
-    return value
+def access_events(source: object) -> Iterator[Tuple[int, int]]:
+    """Yield the ``(sid, offset)`` ACCESS events of one trace (a path,
+    bytes, or binary file); raises ``TraceFormatError`` on a damaged
+    trace."""
+    for kind, arg in TraceReader(source):  # type: ignore[arg-type]
+        if kind == EV_ACCESS:
+            yield arg & 7, arg >> 3
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +63,8 @@ def _log2_bucket(value: int) -> int:
 def analyze_access_stream(
     paths: Sequence[object], top_n: int = 10
 ) -> Dict[str, object]:
-    """Aggregate one or more ``.racc`` captures into a locality report.
+    """Aggregate the ACCESS events of one or more traces into a
+    locality report.
 
     Per structure space: event count, offset span, a log2 offset
     histogram, the ``top_n`` hottest offsets, and (for the clause and
@@ -198,7 +82,7 @@ def analyze_access_stream(
     last_pos: Dict[int, Dict[int, int]] = {SID_CLAUSE: {}, SID_ARENA: {}}
     pos = 0
     for path in paths:
-        for sid, offset in read_access_stream(path):
+        for sid, offset in access_events(path):
             pos += 1
             counts[sid] = counts.get(sid, 0) + 1
             if sid not in mins or offset < mins[sid]:

@@ -20,7 +20,7 @@ Public surface:
   :class:`TraceEvent` / :class:`TraceState` (``repro.sat.trace``) and
   :func:`replay_trace` / :class:`ReplayReport` (``repro.sat.replay``)
   — the binary solver-trace format and its replay oracle; enable via
-  ``SolverConfig.trace_path`` / ``trace_events``.
+  ``SolverConfig.trace_path`` (a path or a binary file object).
 """
 
 from repro.sat.activity_heap import VariableActivityHeap

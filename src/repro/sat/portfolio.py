@@ -244,7 +244,10 @@ class MemberReport:
     ``status`` is ``"sat"``/``"unsat"`` for a finisher, ``"unknown"``
     for a deterministic member that never reached a verdict before the
     race ended, and ``"cancelled"`` for a raced loser (its counters are
-    then the last sharing-point snapshot, not final values).
+    then the last sharing-point snapshot, not final values).  ``stats``
+    holds the member's counters: merged across epochs in deterministic
+    mode, the final (or last shipped) solve's in race mode, and
+    all-zero for a member that never ran.
     """
 
     name: str
@@ -254,48 +257,21 @@ class MemberReport:
     #: Row-race engines only: the deepest BMC depth the member had
     #: reached at its last message (None elsewhere).
     depth: Optional[int] = None
-    conflicts: int = 0
-    decisions: int = 0
-    propagations: int = 0
-    restarts: int = 0
-    exported: int = 0
-    imported: int = 0
-    solve_time: float = 0.0
-    #: Full accumulated :class:`SolverStats` when known — deterministic
-    #: members (merged across epochs) and race finishers.  ``None`` for
-    #: cancelled racers, whose only record is the sharing-point
-    #: snapshot scalars above.
-    stats: Optional[SolverStats] = None
+    stats: SolverStats = field(default_factory=SolverStats)
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready member report.
-
-        The ``stats`` sub-dict routes through
-        :meth:`SolverStats.as_dict` whenever the member's full counters
-        are known, so every solver counter (LBD sums, arena
-        compactions, ...) reaches the metrics/bench consumers without
-        this report having to enumerate them; cancelled racers fall
-        back to the snapshot scalars.
-        """
-        if self.stats is not None:
-            stats: Dict[str, object] = dict(self.stats.as_dict())
-        else:
-            stats = {
-                "conflicts": self.conflicts,
-                "decisions": self.decisions,
-                "propagations": self.propagations,
-                "restarts": self.restarts,
-                "exported_clauses": self.exported,
-                "imported_clauses": self.imported,
-            }
+        """JSON-ready member report; the ``stats`` sub-dict is
+        :meth:`SolverStats.as_dict`, so every solver counter (LBD sums,
+        arena compactions, ...) reaches the metrics/bench consumers
+        without this report having to enumerate them."""
         return {
             "name": self.name,
             "status": self.status,
             "winner": self.winner,
             "epochs": self.epochs,
             "depth": self.depth,
-            "solve_time": self.solve_time,
-            "stats": stats,
+            "solve_time": self.stats.solve_time,
+            "stats": self.stats.as_dict(),
         }
 
 
@@ -562,23 +538,6 @@ class _ProcessGroup:
             self._process.join(timeout=1)
 
 
-def _stats_snapshot(
-    stats: SolverStats, elapsed: Optional[float] = None
-) -> Tuple[int, int, int, int, int, int, float]:
-    # stats.solve_time is only written when solve() returns; mid-solve
-    # snapshots (the race's sharing points) pass the live wall clock so
-    # a cancelled loser's report still shows how long it searched.
-    return (
-        stats.conflicts,
-        stats.decisions,
-        stats.propagations,
-        stats.restarts,
-        stats.exported_clauses,
-        stats.imported_clauses,
-        stats.solve_time if elapsed is None else elapsed,
-    )
-
-
 def _race_worker(
     index, formula, member, base_config, share_max_len, warm_activity,
     export_q, import_q, result_q,
@@ -592,11 +551,14 @@ def _race_worker(
         started = time.perf_counter()
 
         def hook(batch):
+            # stats.solve_time is only written when solve() returns; the
+            # shipped copy carries the live wall clock so a cancelled
+            # loser's report still shows how long it searched.
             export_q.put((
                 index,
                 batch,
-                _stats_snapshot(
-                    solver.stats, time.perf_counter() - started
+                replace(
+                    solver.stats, solve_time=time.perf_counter() - started
                 ),
             ))
             imports: List[Tuple[int, ...]] = []
@@ -609,7 +571,7 @@ def _race_worker(
 
         solver.on_learned = hook
         outcome = solver.solve()
-        result_q.put((index, "done", outcome, _stats_snapshot(outcome.stats)))
+        result_q.put((index, "done", outcome, outcome.stats))
     except Exception as exc:  # pragma: no cover - surfaced by the parent
         result_q.put((index, "error", f"{type(exc).__name__}: {exc}", None))
 
@@ -720,10 +682,8 @@ class PortfolioSolver:
         self._publish_metrics(result)
         return result
 
-    #: Per-member counters published with a ``member`` label; the keys
-    #: come out of :meth:`MemberReport.as_dict`'s ``stats`` sub-dict
-    #: (present in both the full SolverStats export and the
-    #: cancelled-racer fallback).
+    #: Per-member :class:`SolverStats` counters published with a
+    #: ``member`` label.
     _MEMBER_COUNTER_KEYS = (
         "conflicts",
         "decisions",
@@ -760,15 +720,15 @@ class PortfolioSolver:
         for report in result.reports:
             member_labels = dict(labels)
             member_labels["member"] = report.name
-            stats = report.as_dict()["stats"]
+            stats = report.stats
             for key in self._MEMBER_COUNTER_KEYS:
-                value = stats.get(key, 0)  # type: ignore[union-attr]
+                value = getattr(stats, key)
                 if value:
                     registry.counter(
                         f"portfolio_member_{key}_total", labels=member_labels
                     ).inc(value)
-            exported += report.exported
-            imported += report.imported
+            exported += stats.exported_clauses
+            imported += stats.imported_clauses
         registry.counter(
             "portfolio_exported_clauses_total", labels=labels
         ).inc(exported)
@@ -828,9 +788,9 @@ class PortfolioSolver:
                             self.epoch_conflicts,
                             caps,
                             (
-                                report.conflicts,
-                                report.propagations,
-                                report.decisions,
+                                report.stats.conflicts,
+                                report.stats.propagations,
+                                report.stats.decisions,
                             ),
                         )
                         if budgets is None:
@@ -852,15 +812,6 @@ class PortfolioSolver:
                 for index, status, exported, stats, outcome in replies:
                     report = reports[index]
                     report.epochs += 1
-                    report.conflicts += stats.conflicts
-                    report.decisions += stats.decisions
-                    report.propagations += stats.propagations
-                    report.restarts += stats.restarts
-                    report.exported += stats.exported_clauses
-                    report.imported += stats.imported_clauses
-                    report.solve_time += stats.solve_time
-                    if report.stats is None:
-                        report.stats = SolverStats()
                     report.stats.merge(stats)
                     bus.publish(index, exported)
                     if outcome is not None:
@@ -970,7 +921,7 @@ class PortfolioSolver:
             processes.append(process)
 
         bus = SharedClauseBus(num)
-        snapshots: Dict[int, tuple] = {}
+        snapshots: Dict[int, SolverStats] = {}
         reports = [MemberReport(name=member.name) for member in members]
         winner_index: Optional[int] = None
         winner_outcome: Optional[SolveOutcome] = None
@@ -1043,16 +994,10 @@ class PortfolioSolver:
                 q.cancel_join_thread()
 
         for index, report in enumerate(reports):
-            snapshot = snapshots.get(index)
-            if snapshot is not None:
-                (
-                    report.conflicts, report.decisions, report.propagations,
-                    report.restarts, report.exported, report.imported,
-                    report.solve_time,
-                ) = snapshot
+            if index in snapshots:
+                report.stats = snapshots[index]
             if index in extra_outcomes:
                 report.status = extra_outcomes[index].status.value
-                report.stats = extra_outcomes[index].stats
             else:
                 report.status = "cancelled"
         if winner_index is None:
@@ -1062,7 +1007,6 @@ class PortfolioSolver:
             report = reports[winner_index]
             report.winner = True
             report.status = winner_outcome.status.value
-            report.stats = winner_outcome.stats
             status = winner_outcome.status
             winner = members[winner_index].name
             # Same soundness backstop as the deterministic mode: any

@@ -20,6 +20,7 @@ builds disagree — exactly what a differential oracle is for.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -27,6 +28,7 @@ from repro.cnf.formula import CnfFormula
 from repro.sat.heuristics import DecisionStrategy
 from repro.sat.solver import CdclSolver, SolverConfig
 from repro.sat.trace import (
+    EV_ACCESS,
     EV_DECIDE,
     EV_END,
     STATUS_NAMES,
@@ -34,6 +36,7 @@ from repro.sat.trace import (
     TraceEvent,
     TraceReader,
     TraceState,
+    decode_trace,
 )
 from repro.sat.types import SolveResult
 
@@ -99,7 +102,7 @@ class ReplayReport:
     matches: bool
     mismatch: Optional[str]
     decisions_replayed: int
-    #: The replayed solver's own event stream (in-memory recording).
+    #: The replayed solver's own event stream (ACCESS events dropped).
     events: List[TraceEvent]
     #: State implied by the *recorded* events.
     expected: TraceState
@@ -195,13 +198,16 @@ def replay_trace(
     already-decoded event sequence.  ``config`` should be the original
     run's config (budgets included — an UNKNOWN trace only replays to
     byte equality under the same budgets); ``phase_mode`` is forced to
-    ``"default"`` and any tracing options are stripped.  For runs made
-    under assumptions, pass the same ``assumptions``.
+    ``"default"`` and the trace sink is replaced by an in-memory one.
+    ACCESS events (profiled solves) carry no search state and are
+    dropped from both streams before comparison.  For runs made under
+    assumptions, pass the same ``assumptions``.
     """
     if isinstance(trace, (str, bytes, bytearray)):
-        events = TraceReader(trace).events()
+        recorded = TraceReader(trace).events()
     else:
-        events = [TraceEvent(kind, arg) for kind, arg in trace]
+        recorded = [TraceEvent(kind, arg) for kind, arg in trace]
+    events = [event for event in recorded if event.kind != EV_ACCESS]
 
     expected = TraceState(formula.num_vars)
     expected.apply_all(events)
@@ -209,20 +215,17 @@ def replay_trace(
     decisions = [arg for kind, arg in events if kind == EV_DECIDE]
     strategy = ReplayStrategy(decisions)
 
-    replayed: List[TraceEvent] = []
+    sink = io.BytesIO()
     base = config if config is not None else SolverConfig()
-    replay_config = replace(
-        base,
-        phase_mode="default",
-        trace_path=None,
-        trace_events=replayed,
-    )
+    replay_config = replace(base, phase_mode="default", trace_path=sink)
     solver = CdclSolver(formula, strategy=strategy, config=replay_config)
     exhausted = False
     try:
         outcome = solver.solve(assumptions)
     except TraceExhausted:
         exhausted = True
+    _, replayed = decode_trace(sink.getvalue())
+    replayed = [event for event in replayed if event.kind != EV_ACCESS]
 
     if exhausted:
         status = "EXHAUSTED"

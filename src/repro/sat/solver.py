@@ -99,6 +99,7 @@ from operator import attrgetter
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    BinaryIO,
     Callable,
     Dict,
     Iterable,
@@ -107,15 +108,10 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.cnf.formula import CnfFormula
-from repro.metrics.access import (
-    SID_ARENA,
-    SID_CLAUSE,
-    SID_TRAIL,
-    AccessStreamWriter,
-)
 from repro.sat.arena import (
     ClauseArena,
     HEADER_WORDS,
@@ -136,12 +132,13 @@ from repro.sat.profile import (
 )
 from repro.sat.stats import SolverStats
 from repro.sat.trace import (
+    ACCESS_SAMPLE_EVERY,
+    SID_ARENA,
+    SID_CLAUSE,
+    SID_TRAIL,
     STATUS_SAT,
     STATUS_UNKNOWN,
     STATUS_UNSAT,
-    TraceEvent,
-    TraceRecorder,
-    TraceTee,
     TraceWriter,
 )
 from repro.sat.types import AnalysisResult, SolveOutcome, SolveResult
@@ -226,19 +223,17 @@ class SolverConfig:
     #: Binary solver-trace telemetry (``repro.sat.trace``): when set,
     #: every ``solve()`` writes its search-level event stream (DECIDE /
     #: ENQUEUE / CONFLICT / LEARN / BACKTRACK / RESTART / REDUCE /
-    #: ASSUME / END) to this path as a versioned varint-packed binary
-    #: trace.  Repeated ``solve()`` calls on one solver re-open the
-    #: path, so the file holds the *last* call's trace.  The stream
-    #: sees only search-level state, which is byte-identical across
-    #: backends — traces are therefore backend-invariant.
-    #: Disabled (``None``) the entire feature costs one ``is not None``
-    #: test per event site.
-    trace_path: Optional[str] = None
-    #: In-memory variant of :attr:`trace_path`: a caller-supplied list
-    #: that receives decoded :class:`repro.sat.trace.TraceEvent` tuples
-    #: (no serialization).  Both options may be set at once; the
-    #: streams are identical by construction.
-    trace_events: Optional[List["TraceEvent"]] = None
+    #: ASSUME / END, plus sampled ACCESS events when
+    #: :attr:`profile_access` is on) as a versioned varint-packed
+    #: binary trace.  A path is re-opened by every ``solve()`` call, so
+    #: the file holds the *last* call's trace; a binary file object
+    #: (e.g. ``io.BytesIO``, read back with
+    #: ``repro.sat.trace.decode_trace``) is left open and receives each
+    #: call's trace in turn.  The stream sees only search-level state,
+    #: which is byte-identical across backends — traces are therefore
+    #: backend-invariant.  Disabled (``None``) the entire feature costs
+    #: one ``is not None`` test per event site.
+    trace_path: Optional[Union[str, BinaryIO]] = None
     #: Observability plane (``repro.metrics``): a registry this solver
     #: publishes counters and gauges into — ``solver_*_total`` counter
     #: deltas for every :class:`SolverStats` field plus state gauges
@@ -259,28 +254,24 @@ class SolverConfig:
     #: kernel-call granularity (locals flushed at exit; the native
     #: kernels fill the same buffer from C through one
     #: ``from_buffer`` view), so profiled searches stay byte-identical
-    #: and the hot loops stay solcheck-clean.
+    #: and the hot loops stay solcheck-clean.  A traced solve
+    #: (:attr:`trace_path`) also samples, every
+    #: ``repro.sat.trace.ACCESS_SAMPLE_EVERY`` conflicts, the
+    #: antecedent clause IDs and arena offsets that conflict's analysis
+    #: touched, plus the trail depth, as ACCESS events in its trace
+    #: (locality analysis: ``python -m repro.trace``).
     profile_access: bool = False
-    #: Sampled access-stream sidecar (``repro.metrics.access``): when
-    #: set, every ``solve()`` appends (structure, offset) events — the
-    #: antecedent clause IDs and arena block offsets each sampled
-    #: conflict's analysis touched, plus the trail depth — to this
-    #: path in the varint ``RACC`` framing, for offline locality
-    #: analysis (``python -m repro.trace``).  Like the trace, the file
-    #: holds the *last* call's stream.
-    access_stream_path: Optional[str] = None
-    #: Record an access-stream sample every this many conflicts
-    #: (deterministic — keyed on the conflict counter, no clock).
-    access_sample_every: int = 16
     #: Live-progress hook, fired at search level every
     #: :attr:`progress_every` conflicts with a counters-only payload
-    #: (:meth:`CdclSolver.progress_snapshot`).  The payload carries no
+    #: (:meth:`CdclSolver.snapshot`).  The payload carries no
     #: wall-clock reading — interested callers stamp arrival times
     #: themselves (see ``repro.experiments`` ``--progress``).  The
     #: hook must not mutate the solver (same contract as the strategy
     #: hooks).
-    on_progress: Optional[Callable[[Dict[str, int]], None]] = None
-    #: Conflict interval between :attr:`on_progress` firings.
+    on_progress: Optional[
+        Callable[[Dict[str, Union[int, float]]], None]
+    ] = None
+    #: Conflict interval between :attr:`on_progress` firings (positive).
     progress_every: int = 2048
     max_conflicts: Optional[int] = None
     max_decisions: Optional[int] = None
@@ -299,6 +290,19 @@ _TRACE_STATUS = {
 
 #: Valid values of :attr:`SolverConfig.phase_mode`.
 PHASE_MODES = ("default", "save", "inverted")
+
+#: The state-gauge keys of :meth:`CdclSolver.snapshot` (every other key
+#: is a :class:`SolverStats` counter), each with the help text of the
+#: ``solver_{key}`` gauge it publishes.
+SNAPSHOT_GAUGES = {
+    "vars": "Variables in the solver.",
+    "learned_live": "Live learned clauses in the database.",
+    "trail_depth": "Assigned literals on the trail.",
+    "decision_level": "Current decision level.",
+    "arena_words": "Clause-arena footprint in literal words.",
+    "arena_tombstone_ratio": "Fraction of arena words held by deleted clauses.",
+    "heap_size": "Variables in the decision activity heap.",
+}
 
 #: Clause-activity magnitude that triggers a rescale.  Single source of
 #: truth for the bump replay in ``_replay_clause_bumps`` and the
@@ -382,6 +386,15 @@ class CdclSolver:
             raise ValueError(
                 f"phase_mode must be one of {PHASE_MODES}, "
                 f"got {self.config.phase_mode!r}"
+            )
+        if self.config.restart_base < 1:
+            raise ValueError(
+                f"restart_base must be positive, got {self.config.restart_base}"
+            )
+        if self.config.progress_every < 1:
+            raise ValueError(
+                f"progress_every must be positive, "
+                f"got {self.config.progress_every}"
             )
         self.strategy = strategy or VsidsStrategy()
         self.num_vars = 0
@@ -537,12 +550,10 @@ class CdclSolver:
         # last one threw away.  None until the first search computes
         # the formula-derived floor.
         self._max_learned: Optional[float] = None
-        # Observability plane state: the open access-stream sidecar
-        # during a solve (else None), the per-field counter values
+        # Observability plane state: the per-field counter values
         # already published into config.metrics (counters publish
         # deltas; cleared when stats reset at solve entry), and the
         # raw profile slots already published (same delta discipline).
-        self._access_stream: Optional[AccessStreamWriter] = None
         self._published_stats: Dict[str, float] = {}
         self._published_profile: List[int] = [0] * NPROF
 
@@ -1667,12 +1678,14 @@ class CdclSolver:
         self._pending_root_pruned = 0
         self.stats.imported_clauses += self._pending_imported
         self._pending_imported = 0
-        trace = self._open_trace()
-        sidecar = self._open_access_stream()
+        trace = (
+            TraceWriter(self.config.trace_path, self.num_vars)
+            if self.config.trace_path is not None
+            else None
+        )
         start = time.perf_counter()
         try:
             self._backtrack(0)
-            self._access_stream = sidecar
             if trace is not None:
                 # Mark 0: the first flush re-emits the root trail
                 # (install-time units and their implications), so the
@@ -1695,29 +1708,11 @@ class CdclSolver:
             if trace is not None:
                 self._trace = None
                 trace.close()
-            if sidecar is not None:
-                self._access_stream = None
-                sidecar.close()
         self.stats.solve_time = time.perf_counter() - start
         if self.config.metrics is not None:
             self._publish_metrics()
         outcome.stats = self.stats
         return outcome
-
-    def _open_trace(self):
-        """Build this solve() call's trace sink, or None when tracing
-        is disabled (the common case: the config holds two Nones)."""
-        config = self.config
-        if config.trace_path is None and config.trace_events is None:
-            return None
-        sinks = []
-        if config.trace_path is not None:
-            sinks.append(TraceWriter(config.trace_path, self.num_vars))
-        if config.trace_events is not None:
-            sinks.append(TraceRecorder(config.trace_events, self.num_vars))
-        if len(sinks) == 1:
-            return sinks[0]
-        return TraceTee(sinks)
 
     # Called once per search-level event site of a traced solve; the
     # heavy per-literal loop lives in TraceWriter.enqueue_run.
@@ -1733,28 +1728,16 @@ class CdclSolver:
     # Observability plane: access profiling, metrics, live progress.
     # ------------------------------------------------------------------
 
-    def _open_access_stream(self) -> Optional[AccessStreamWriter]:
-        """This solve() call's ``.racc`` sidecar writer, or None (the
-        common case — one config read)."""
-        config = self.config
-        if config.access_stream_path is None:
-            return None
-        return AccessStreamWriter(
-            config.access_stream_path, config.access_sample_every
-        )
-
-    def _record_access_sample(
-        self, sidecar: AccessStreamWriter, antecedents: List[int]
-    ) -> None:
-        """One sampled conflict's event block: the clause IDs analysis
-        resolved over, their arena block offsets, and the trail depth.
-        Runs at search level, conflict-granular — never per access."""
+    def _trace_access(self, antecedents: List[int]) -> None:
+        """One sampled conflict's ACCESS block in the trace: the clause
+        IDs analysis resolved over, their arena block offsets, and the
+        trail depth.  Runs at search level, conflict-granular — never
+        per access."""
+        trace = self._trace
         arefs = self._arena.refs
-        sidecar.record_block(SID_CLAUSE, antecedents)
-        sidecar.record_block(
-            SID_ARENA, [arefs[cid] for cid in antecedents]
-        )
-        sidecar.record(SID_TRAIL, self._trail_len)
+        trace.access_block(SID_CLAUSE, antecedents)
+        trace.access_block(SID_ARENA, [arefs[cid] for cid in antecedents])
+        trace.access_block(SID_TRAIL, (self._trail_len,))
 
     def access_profile(self) -> Optional[Dict[str, object]]:
         """The per-structure access profile accumulated so far (raw
@@ -1766,33 +1749,49 @@ class CdclSolver:
             return None
         return profile_as_dict(self._profile)
 
-    def progress_snapshot(self) -> Dict[str, int]:
-        """The live-progress payload: counters and depths only — no
-        clock read, nothing a hook could perturb the search with."""
-        stats = self.stats
-        return {
-            "conflicts": stats.conflicts,
-            "decisions": stats.decisions,
-            "propagations": stats.propagations,
-            "restarts": stats.restarts,
-            "learned": self._num_live_learned,
-            "trail": self._trail_len,
-            "level": self._decision_level,
-            "vars": self.num_vars,
-        }
+    def snapshot(self) -> Dict[str, Union[int, float]]:
+        """The solver's one counter snapshot: every :class:`SolverStats`
+        field plus the state gauges named in :data:`SNAPSHOT_GAUGES`
+        (``heap_size`` only for strategies with an activity heap).
+        Feeds both ``config.on_progress`` and the metrics publisher.
+        Counters and depths only — no clock read, nothing a hook could
+        perturb the search with."""
+        snap: Dict[str, Union[int, float]] = self.stats.as_dict()
+        arena = self._arena
+        words = len(arena.data)
+        snap["vars"] = self.num_vars
+        snap["learned_live"] = self._num_live_learned
+        snap["trail_depth"] = self._trail_len
+        snap["decision_level"] = self._decision_level
+        snap["arena_words"] = words
+        snap["arena_tombstone_ratio"] = (
+            arena.dead_words / words if words else 0.0
+        )
+        heap = getattr(self.strategy, "_heap", None)
+        if heap is not None:
+            snap["heap_size"] = len(heap)
+        return snap
 
     def _publish_metrics(self) -> None:
-        """Publish into ``config.metrics``: counter deltas for every
-        :class:`SolverStats` field, state gauges, and (when profiling)
-        per-structure access counters.  Called at epoch boundaries only
-        — restart points and solve() exit — and reads no clock (rates
-        are a snapshot-time concern; see ``repro.metrics``)."""
+        """Publish :meth:`snapshot` into ``config.metrics``: counter
+        deltas (``solver_{name}_total``) for the :class:`SolverStats`
+        keys, a ``solver_{name}`` gauge for every other key, and (when
+        profiling) per-structure access counters.  Called at epoch
+        boundaries only — restart points and solve() exit — and reads
+        no clock (rates are a snapshot-time concern; see
+        ``repro.metrics``)."""
         registry = self.config.metrics
         if registry is None:
             return
         labels = self.config.metrics_labels
         published = self._published_stats
-        for name, value in self.stats.as_dict().items():
+        for name, value in self.snapshot().items():
+            gauge_help = SNAPSHOT_GAUGES.get(name)
+            if gauge_help is not None:
+                registry.gauge(
+                    f"solver_{name}", help=gauge_help, labels=labels
+                ).set(value)
+                continue
             prev = published.get(name, 0.0)
             if value != prev:
                 registry.counter(
@@ -1801,38 +1800,6 @@ class CdclSolver:
                     labels=labels,
                 ).inc(value - prev)
                 published[name] = float(value)
-        arena = self._arena
-        words = len(arena.data)
-        registry.gauge(
-            "solver_vars", help="Variables in the solver.", labels=labels
-        ).set(self.num_vars)
-        registry.gauge(
-            "solver_learned_live",
-            help="Live learned clauses in the database.",
-            labels=labels,
-        ).set(self._num_live_learned)
-        registry.gauge(
-            "solver_trail_depth",
-            help="Assigned literals on the trail.",
-            labels=labels,
-        ).set(self._trail_len)
-        registry.gauge(
-            "solver_arena_words",
-            help="Clause-arena footprint in literal words.",
-            labels=labels,
-        ).set(words)
-        registry.gauge(
-            "solver_arena_tombstone_ratio",
-            help="Fraction of arena words held by deleted clauses.",
-            labels=labels,
-        ).set(arena.dead_words / words if words else 0.0)
-        heap = getattr(self.strategy, "_heap", None)
-        if heap is not None:
-            registry.gauge(
-                "solver_heap_size",
-                help="Variables in the decision activity heap.",
-                labels=labels,
-            ).set(len(heap))
         profile = self._profile
         if profile is not None:
             prev_raw = self._published_profile
@@ -1889,8 +1856,6 @@ class CdclSolver:
         # Like the trace, every capture site lives at search level —
         # the hot loops below the seam stay untouched.
         profile = self._profile
-        sidecar = self._access_stream
-        sample_every = config.access_sample_every
         on_progress = config.on_progress
         progress_every = config.progress_every
         metrics_on = config.metrics is not None
@@ -1900,6 +1865,8 @@ class CdclSolver:
         # runs the BCP loop opaquely in C, and search-level state is
         # what both planes hold byte-identical.
         trace = self._trace
+        # Sampled ACCESS events ride a traced, profiled solve only.
+        sample_access = trace is not None and profile is not None
         # One kernel call per step: propagate and, on an analyzable
         # conflict, run the first-UIP walk (one FFI crossing on the
         # native plane).
@@ -1942,17 +1909,18 @@ class CdclSolver:
                     self._enqueue(learned[0], cid)
                     stats.propagations += 1
                 on_conflict(learned)
-                if sidecar is not None and stats.conflicts % sample_every == 0:
-                    # Sampled access-stream event block: which clauses
-                    # (and arena blocks) this conflict's analysis
-                    # resolved over, plus the trail depth.  Keyed on
-                    # the conflict counter — deterministic, no clock.
-                    self._record_access_sample(sidecar, antecedents)
+                if (
+                    sample_access
+                    and stats.conflicts % ACCESS_SAMPLE_EVERY == 0
+                ):
+                    # Keyed on the conflict counter — deterministic, no
+                    # clock.
+                    self._trace_access(antecedents)
                 if (
                     on_progress is not None
                     and stats.conflicts % progress_every == 0
                 ):
-                    on_progress(self.progress_snapshot())
+                    on_progress(self.snapshot())
                 if max_conflicts is not None and stats.conflicts >= max_conflicts:
                     return SolveOutcome(status=SolveResult.UNKNOWN)
                 if (

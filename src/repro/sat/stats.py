@@ -71,23 +71,15 @@ class SolverStats:
         return self.learned_literals / self.learned_clauses
 
     def merge(self, other: "SolverStats") -> None:
-        """Accumulate another solve's counters into this one (used by the
-        BMC engine to aggregate over depths)."""
-        self.decisions += other.decisions
-        self.propagations += other.propagations
-        self.conflicts += other.conflicts
-        self.restarts += other.restarts
-        self.learned_clauses += other.learned_clauses
-        self.deleted_clauses += other.deleted_clauses
-        self.max_decision_level = max(self.max_decision_level, other.max_decision_level)
-        self.cdg_entries += other.cdg_entries
-        self.solve_time += other.solve_time
-        self.learned_literals_before_min += other.learned_literals_before_min
-        self.learned_literals += other.learned_literals
-        self.minimized_literals += other.minimized_literals
-        self.learned_lbd_sum += other.learned_lbd_sum
-        self.root_pruned_clauses += other.root_pruned_clauses
-        self.arena_compactions += other.arena_compactions
-        self.arena_reclaimed_words += other.arena_reclaimed_words
-        self.exported_clauses += other.exported_clauses
-        self.imported_clauses += other.imported_clauses
+        """Accumulate another solve's counters into this one (the BMC
+        engine aggregates over depths, the portfolio over epochs):
+        every field sums, except ``max_decision_level``, which takes
+        the maximum."""
+        for f in fields(self):
+            name = f.name
+            mine = getattr(self, name)
+            theirs = getattr(other, name)
+            if name == "max_decision_level":
+                setattr(self, name, max(mine, theirs))
+            else:
+                setattr(self, name, mine + theirs)

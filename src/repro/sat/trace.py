@@ -11,7 +11,7 @@ files.  The same stream doubles as a replay artifact: feeding the
 recorded DECIDE literals back into a fresh solver on the same formula
 reproduces the run (see ``repro.sat.replay``).
 
-Wire format, version 1
+Wire format, version 2
 ----------------------
 
 Everything is unsigned LEB128 varints (7 payload bits per byte, high
@@ -21,7 +21,7 @@ bit = continuation); signed quantities are zigzag-mapped first
     header:  magic b"RTRC" | version u8 | varint num_vars | varint flags
     events:  (varint tag | varint payload)*
 
-``flags`` is reserved and must be 0 in version 1.  Event payloads::
+``flags`` is reserved and must be 0.  Event payloads::
 
     tag  name       payload
     ---  ---------  ----------------------------------------------
@@ -34,12 +34,22 @@ bit = continuation); signed quantities are zigzag-mapped first
     6    REDUCE     clauses deleted by this DB reduction
     7    ASSUME     zigzag(lit - prev_lit); opens one level
     8    END        1 = SAT, 2 = UNSAT, 3 = UNKNOWN
+    9    ACCESS     zigzag(offset - prev[sid]) << 3 | sid
 
 Literal-carrying events (ENQUEUE / DECIDE / ASSUME) share one running
 ``prev_lit`` delta chain: consecutive trail literals are usually close
-in index, so most events cost 2 bytes (tag + one varint byte).  The
-wall clock never enters the stream — timing differs per backend and
-per run, and would break the byte-identity contract; throughput
+in index, so most events cost 2 bytes (tag + one varint byte).
+
+ACCESS events are the sampled memory-access stream of a profiled solve
+(``SolverConfig.profile_access``; see ``repro.metrics.access``): one
+event per ``(structure id, offset)`` touch, the offset delta-coded
+against the previous offset of the same structure (``prev[sid]``, 8
+chains, all starting at 0).  They carry no search state, so
+:class:`TraceState` and replay skip them, and a trace of an unprofiled
+solve holds none.
+
+The wall clock never enters the stream — timing differs per backend
+and per run, and would break the byte-identity contract; throughput
 numbers belong to the analyzer (``python -m repro.trace``), not the
 artifact.
 
@@ -52,10 +62,20 @@ never guess.
 from __future__ import annotations
 
 import io
-from typing import BinaryIO, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    BinaryIO,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 TRACE_MAGIC = b"RTRC"
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 EV_ENQUEUE = 0
 EV_DECIDE = 1
@@ -66,6 +86,7 @@ EV_RESTART = 5
 EV_REDUCE = 6
 EV_ASSUME = 7
 EV_END = 8
+EV_ACCESS = 9
 
 #: ``EVENT_NAMES[tag]`` is the human name used by the analyzer.
 EVENT_NAMES = (
@@ -78,10 +99,22 @@ EVENT_NAMES = (
     "REDUCE",
     "ASSUME",
     "END",
+    "ACCESS",
 )
 
 #: Tags whose payload is a delta-zigzag literal on the shared chain.
 LIT_EVENTS = frozenset((EV_ENQUEUE, EV_DECIDE, EV_ASSUME))
+
+#: Structure-ID spaces of ACCESS events (3 bits available: 0..7).
+SID_CLAUSE = 0  # clause IDs resolved over by conflict analysis
+SID_ARENA = 1   # arena word offsets of those clauses' blocks
+SID_TRAIL = 2   # trail length at each sampled conflict
+SID_NAMES = {SID_CLAUSE: "clause", SID_ARENA: "arena", SID_TRAIL: "trail"}
+
+#: A traced solve with ``SolverConfig.profile_access`` on writes one
+#: ACCESS block every this many conflicts (deterministic — keyed on
+#: the conflict counter, no clock).
+ACCESS_SAMPLE_EVERY = 16
 
 STATUS_SAT = 1
 STATUS_UNSAT = 2
@@ -111,8 +144,9 @@ class TraceEvent(NamedTuple):
     ``arg`` is the *logical* payload: the packed literal for
     ENQUEUE / DECIDE / ASSUME, a decision level for CONFLICT /
     BACKTRACK / RESTART, a clause length for LEARN, a deletion count
-    for REDUCE, a status code for END.  Delta/zigzag packing is a wire
-    concern only and never appears here.
+    for REDUCE, a status code for END, and ``offset << 3 | sid`` for
+    ACCESS.  Delta/zigzag packing is a wire concern only and never
+    appears here.
     """
 
     kind: int
@@ -145,7 +179,7 @@ class TraceWriter:
 
     ``sink`` is a filesystem path (opened/closed by the writer) or any
     binary file object (left open on :meth:`close`).  The writer emits
-    the version-1 header immediately; events stream out through a
+    the header immediately; events stream out through a
     bytearray buffer flushed at :data:`_FLUSH_THRESHOLD`.
     """
 
@@ -160,6 +194,8 @@ class TraceWriter:
         self.events_written = 0
         self.bytes_written = 0
         self._prev_lit = 0
+        # Per-structure previous ACCESS offset (delta-coding chains).
+        self._prev_access = [0] * 8
         self._closed = False
         buf = bytearray()
         buf += TRACE_MAGIC
@@ -215,6 +251,8 @@ class TraceWriter:
         kind, arg = event
         if kind in LIT_EVENTS:
             self._emit_lit(kind, arg)
+        elif kind == EV_ACCESS:
+            self.access_block(arg & 7, (arg >> 3,))
         else:
             self._emit(kind, arg)
 
@@ -243,6 +281,32 @@ class TraceWriter:
         if len(buf) >= _FLUSH_THRESHOLD:
             self.flush()
 
+    # One call per structure of a sampled conflict (a handful of
+    # antecedent IDs or arena refs), so it follows hot-path discipline
+    # although its call rate is conflict-granular.
+    # solcheck: hot
+    def access_block(self, sid: int, offsets: Iterable[int]) -> None:
+        """Emit one ACCESS event per offset in structure space ``sid``."""
+        buf = self._buf
+        append = buf.append
+        tag = EV_ACCESS
+        prev = self._prev_access[sid]
+        n = 0
+        for offset in offsets:
+            delta = offset - prev
+            prev = offset
+            value = (((delta << 1) if delta >= 0 else ((-delta) << 1) - 1) << 3) | sid
+            append(tag)
+            while value > 0x7F:
+                append((value & 0x7F) | 0x80)
+                value >>= 7
+            append(value)
+            n += 1
+        self._prev_access[sid] = prev
+        self.events_written += n
+        if len(buf) >= _FLUSH_THRESHOLD:
+            self.flush()
+
     # -- lifecycle -----------------------------------------------------
 
     def flush(self) -> None:
@@ -263,77 +327,8 @@ class TraceWriter:
             self._fh.flush()
 
 
-class TraceRecorder:
-    """In-memory sink with the :class:`TraceWriter` event surface.
-
-    Appends :class:`TraceEvent` tuples to a caller-supplied list — the
-    ``SolverConfig.trace_events`` option.  No encoding happens, so this
-    is the cheapest way to capture a run for a same-process oracle
-    (the replay fuzzer leg uses it).
-    """
-
-    def __init__(self, events: List[TraceEvent], num_vars: int) -> None:
-        self.events = events
-        self.num_vars = num_vars
-
-    def enqueue(self, lit: int) -> None:
-        self.events.append(TraceEvent(EV_ENQUEUE, lit))
-
-    def decide(self, lit: int) -> None:
-        self.events.append(TraceEvent(EV_DECIDE, lit))
-
-    def assume(self, lit: int) -> None:
-        self.events.append(TraceEvent(EV_ASSUME, lit))
-
-    def conflict(self, level: int) -> None:
-        self.events.append(TraceEvent(EV_CONFLICT, level))
-
-    def learn(self, length: int) -> None:
-        self.events.append(TraceEvent(EV_LEARN, length))
-
-    def backtrack(self, level: int) -> None:
-        self.events.append(TraceEvent(EV_BACKTRACK, level))
-
-    def restart(self, level: int) -> None:
-        self.events.append(TraceEvent(EV_RESTART, level))
-
-    def reduce(self, deleted: int) -> None:
-        self.events.append(TraceEvent(EV_REDUCE, deleted))
-
-    def end(self, status: int) -> None:
-        self.events.append(TraceEvent(EV_END, status))
-
-    def enqueue_run(self, trail: Sequence[int], start: int, stop: int) -> None:
-        events = self.events
-        for i in range(start, stop):
-            events.append(TraceEvent(0, trail[i]))
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-class TraceTee:
-    """Fan one event stream out to several sinks (file + in-memory)."""
-
-    def __init__(self, sinks: Sequence[object]) -> None:
-        self._sinks = list(sinks)
-
-    def __getattr__(self, name: str):
-        sinks = self._sinks
-        methods = [getattr(sink, name) for sink in sinks]
-
-        def fanout(*args):
-            for method in methods:
-                method(*args)
-
-        return fanout
-
-
 class TraceReader:
-    """Decode a version-1 trace from a path, bytes, or binary file.
+    """Decode a trace from a path, bytes, or binary file.
 
     The whole stream is slurped up front (traces here are megabytes,
     and index arithmetic on one ``bytes`` object is the fastest pure
@@ -368,7 +363,7 @@ class TraceReader:
         self.flags, pos = self._read_varint(pos)
         if self.flags != 0:
             raise TraceFormatError(
-                f"reserved flags {self.flags:#x} set in a version-1 trace"
+                f"reserved flags {self.flags:#x} set in a version-{version} trace"
             )
         self._body_start = pos
 
@@ -392,6 +387,7 @@ class TraceReader:
         size = len(data)
         pos = self._body_start
         prev_lit = 0
+        prev_access = [0] * 8
         read_varint = self._read_varint
         lit_events = LIT_EVENTS
         num_kinds = len(EVENT_NAMES)
@@ -404,6 +400,11 @@ class TraceReader:
             if tag in lit_events:
                 prev_lit += unzigzag(payload)
                 yield TraceEvent(tag, prev_lit)
+            elif tag == EV_ACCESS:
+                sid = payload & 7
+                offset = prev_access[sid] + unzigzag(payload >> 3)
+                prev_access[sid] = offset
+                yield TraceEvent(tag, (offset << 3) | sid)
             else:
                 yield TraceEvent(tag, payload)
 
@@ -418,7 +419,7 @@ class TraceReader:
 def encode_events(
     events: Sequence[Tuple[int, int]], num_vars: int
 ) -> bytes:
-    """Serialize a logical event sequence to version-1 trace bytes."""
+    """Serialize a logical event sequence to trace bytes."""
     sink = io.BytesIO()
     writer = TraceWriter(sink, num_vars)
     for event in events:
@@ -501,6 +502,8 @@ class TraceState:
             self.level += 1
         elif kind == EV_END:
             self.status = arg
+        elif kind == EV_ACCESS:
+            pass  # memory-access samples carry no search state
         else:
             raise TraceError(f"unknown event kind {kind}")
 

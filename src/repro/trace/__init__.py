@@ -8,16 +8,17 @@ read-only and formula-free: everything comes from the event stream.
 
 The CLI also accepts a directory or several files at once: all
 ``.rtrc`` captures (for BMC runs, the per-depth ``{name}_d{k:03d}``
-series) merge into a single aggregated report, and any ``.racc``
-access-stream sidecars (``repro.metrics.access``) are rendered as a
-per-structure locality report alongside the trace report.
+series) merge into a single aggregated report.  Traces of profiled
+solves (``SolverConfig.profile_access``) also carry sampled ACCESS
+events, which ``repro.metrics.access`` renders as a per-structure
+locality report alongside the trace report.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence
 
 from repro.sat.trace import (
     EV_ASSUME,
@@ -38,7 +39,7 @@ from repro.sat.trace import (
 __all__ = [
     "analyze_trace",
     "analyze_traces",
-    "discover_captures",
+    "discover_traces",
     "merge_reports",
     "render_report",
 ]
@@ -46,9 +47,8 @@ __all__ = [
 #: Depth-histogram bucket width: depths d land in bucket d // 8.
 DEPTH_BUCKET = 8
 
-#: Capture-file suffixes the CLI recognises when expanding directories.
+#: Trace-file suffix the CLI recognises when expanding directories.
 TRACE_SUFFIX = ".rtrc"
-ACCESS_SUFFIX = ".racc"
 
 
 def _bucket_label(bucket: int) -> str:
@@ -133,31 +133,23 @@ def analyze_trace(path: str) -> Dict[str, object]:
     return report
 
 
-def discover_captures(
-    paths: Sequence[str],
-) -> Tuple[List[str], List[str]]:
-    """Expand a mix of files and directories into ``(traces, sidecars)``.
+def discover_traces(paths: Sequence[str]) -> List[str]:
+    """Expand a mix of files and directories into trace paths.
 
-    Directories contribute every ``.rtrc`` and ``.racc`` entry in sorted
-    name order — the zero-padded per-depth naming (``php_d003.rtrc``)
-    makes that depth order.  Explicit file arguments are routed by
-    suffix; anything that is not an access sidecar is treated as a
-    trace so missing files still surface the trace-file error path.
+    Directories contribute every ``.rtrc`` entry in sorted name order —
+    the zero-padded per-depth naming (``php_d003.rtrc``) makes that
+    depth order.  Explicit file arguments pass through whatever their
+    suffix, so missing files still surface the trace-file error path.
     """
     traces: List[str] = []
-    sidecars: List[str] = []
     for raw in paths:
         if os.path.isdir(raw):
             for name in sorted(os.listdir(raw)):
                 if name.endswith(TRACE_SUFFIX):
                     traces.append(os.path.join(raw, name))
-                elif name.endswith(ACCESS_SUFFIX):
-                    sidecars.append(os.path.join(raw, name))
-        elif raw.endswith(ACCESS_SUFFIX):
-            sidecars.append(raw)
         else:
             traces.append(raw)
-    return traces, sidecars
+    return traces
 
 
 def _merge_hist(dst: Dict[str, int], src: Dict[str, int]) -> None:

@@ -1,5 +1,6 @@
-"""Round-trip and analysis tests for the ``.racc`` access-stream
-sidecar (``repro.metrics.access``)."""
+"""Round-trip and analysis tests for the sampled access stream: ACCESS
+events in the RTRC trace (``repro.sat.trace``), analyzed by
+``repro.metrics.access``."""
 
 from __future__ import annotations
 
@@ -8,24 +9,30 @@ import io
 import pytest
 
 from repro.metrics.access import (
-    ACCESS_MAGIC,
     SID_ARENA,
     SID_CLAUSE,
     SID_TRAIL,
-    AccessStreamWriter,
+    access_events,
     analyze_access_stream,
-    read_access_stream,
     render_access_report,
-    stream_sample_every,
+)
+from repro.sat.trace import (
+    EV_ACCESS,
+    EV_DECIDE,
+    TRACE_MAGIC,
+    TraceFormatError,
+    TraceWriter,
+    decode_trace,
+    encode_events,
 )
 
 
-def _write_stream(events, sample_every=1):
+def _write_stream(events):
     buf = io.BytesIO()
-    writer = AccessStreamWriter(buf, sample_every=sample_every)
+    writer = TraceWriter(buf, 4)
     for sid, offset in events:
-        writer.record(sid, offset)
-    writer.flush()
+        writer.access_block(sid, (offset,))
+    writer.close()
     return buf.getvalue()
 
 
@@ -40,45 +47,51 @@ def test_round_trip_preserves_events():
         (SID_CLAUSE, 0),
     ]
     data = _write_stream(events)
-    assert data[:4] == ACCESS_MAGIC
-    assert list(read_access_stream(io.BytesIO(data))) == events
+    assert data[:4] == TRACE_MAGIC
+    assert list(access_events(data)) == events
+    # The decoded events re-encode to the same bytes.
+    _, decoded = decode_trace(data)
+    assert [e.kind for e in decoded] == [EV_ACCESS] * len(events)
+    assert encode_events(decoded, 4) == data
 
 
 def test_record_block_matches_single_records():
     buf_a = io.BytesIO()
-    w = AccessStreamWriter(buf_a)
-    w.record_block(SID_ARENA, [10, 20, 15, 15])
-    w.flush()
+    w = TraceWriter(buf_a, 4)
+    w.access_block(SID_ARENA, [10, 20, 15, 15])
+    w.close()
     buf_b = io.BytesIO()
-    v = AccessStreamWriter(buf_b)
+    v = TraceWriter(buf_b, 4)
     for off in (10, 20, 15, 15):
-        v.record(SID_ARENA, off)
-    v.flush()
+        v.access_block(SID_ARENA, (off,))
+    v.close()
     assert buf_a.getvalue() == buf_b.getvalue()
-    assert w.events == 4
-
-
-def test_sample_every_header_round_trip():
-    data = _write_stream([], sample_every=200)  # multi-byte varint
-    assert stream_sample_every(io.BytesIO(data)) == 200
+    assert w.events_written == 4
 
 
 def test_file_round_trip(tmp_path):
-    path = tmp_path / "capture.racc"
-    writer = AccessStreamWriter(path, sample_every=16)
-    writer.record_block(SID_CLAUSE, [1, 2, 3])
+    path = tmp_path / "capture.rtrc"
+    writer = TraceWriter(str(path), 4)
+    writer.access_block(SID_CLAUSE, [1, 2, 3])
     writer.close()
-    assert stream_sample_every(path) == 16
-    assert list(read_access_stream(path)) == [
+    assert list(access_events(str(path))) == [
         (SID_CLAUSE, 1), (SID_CLAUSE, 2), (SID_CLAUSE, 3),
     ]
 
 
 def test_bad_magic_raises():
-    with pytest.raises(ValueError):
-        list(read_access_stream(io.BytesIO(b"NOPE" + bytes(8))))
-    with pytest.raises(ValueError):
-        stream_sample_every(io.BytesIO(b"NOPE" + bytes(8)))
+    with pytest.raises(TraceFormatError):
+        list(access_events(b"NOPE" + bytes(8)))
+    with pytest.raises(TraceFormatError):
+        analyze_access_stream([b"NOPE" + bytes(8)])
+
+
+def test_access_events_skip_search_events():
+    blob = encode_events(
+        [(EV_DECIDE, 6), (EV_ACCESS, (9 << 3) | SID_CLAUSE), (EV_DECIDE, 2)],
+        4,
+    )
+    assert list(access_events(blob)) == [(SID_CLAUSE, 9)]
 
 
 def test_analyze_counts_and_hot_offsets():
@@ -88,7 +101,7 @@ def test_analyze_counts_and_hot_offsets():
         + [(SID_ARENA, 100), (SID_ARENA, 200)]
     )
     data = _write_stream(events)
-    report = analyze_access_stream([io.BytesIO(data)], top_n=1)
+    report = analyze_access_stream([data], top_n=1)
     assert report["total_events"] == 9
     clause = report["structures"]["clause"]
     assert clause["events"] == 7
@@ -115,9 +128,7 @@ def test_analyze_merges_multiple_captures():
 
 def test_render_access_report_mentions_structures():
     data = _write_stream([(SID_CLAUSE, 4), (SID_CLAUSE, 4), (SID_ARENA, 12)])
-    text = render_access_report(
-        analyze_access_stream([io.BytesIO(data)])
-    )
+    text = render_access_report(analyze_access_stream([data]))
     assert "access stream: 3 events" in text
     assert "[clause]" in text
     assert "[arena]" in text

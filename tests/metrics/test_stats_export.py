@@ -14,6 +14,7 @@ from repro.cnf import CnfFormula, mk_lit
 from repro.metrics import MetricsRegistry
 from repro.sat import CdclSolver, PortfolioMember, PortfolioSolver, SolverConfig
 from repro.sat.profile import structure_counts
+from repro.sat.solver import SNAPSHOT_GAUGES
 from repro.sat.stats import SolverStats
 from repro.sat.types import SolveResult
 from repro.workloads.cnf_families import pigeonhole
@@ -124,6 +125,53 @@ class TestSolverPublish:
         # "Cumulative across solves": the counter is the sum of the
         # per-solve stats, each solve contributing its delta exactly once.
         assert registry.value("solver_decisions_total") == first + second
+
+
+def test_merge_sums_fields_and_maxes_decision_level():
+    total = SolverStats(decisions=2, max_decision_level=9, solve_time=0.5)
+    total.merge(SolverStats(decisions=3, max_decision_level=4, solve_time=0.25,
+                            imported_clauses=7))
+    assert total.decisions == 5
+    assert total.max_decision_level == 9
+    assert total.solve_time == 0.75
+    assert total.imported_clauses == 7
+
+
+class TestSnapshot:
+    """``CdclSolver.snapshot()`` is the one counter view behind both
+    ``on_progress`` and the metrics publisher."""
+
+    def test_snapshot_holds_stats_and_gauges(self):
+        solver = CdclSolver(pigeonhole(4))
+        solver.solve()
+        snap = solver.snapshot()
+        assert tuple(snap)[: len(EXPECTED_STAT_KEYS)] == EXPECTED_STAT_KEYS
+        assert set(snap) - set(EXPECTED_STAT_KEYS) <= set(SNAPSHOT_GAUGES)
+        assert snap["vars"] == solver.num_vars
+        assert snap["conflicts"] == solver.stats.conflicts
+
+    def test_progress_fires_every_n_conflicts_with_snapshot(self):
+        every = 16
+        fired = []
+        config = SolverConfig(on_progress=fired.append, progress_every=every)
+        solver = CdclSolver(pigeonhole(6), config=config)
+        outcome = solver.solve()
+        plain = CdclSolver(pigeonhole(6)).solve()
+        assert outcome.stats.conflicts >= 3 * every
+        assert len(fired) == outcome.stats.conflicts // every
+        assert [snap["conflicts"] for snap in fired] == [
+            every * (i + 1) for i in range(len(fired))
+        ]
+        for snap in fired:
+            assert set(snap) == set(fired[0])
+            assert set(EXPECTED_STAT_KEYS) <= set(snap)
+            assert 0 < snap["trail_depth"] <= snap["vars"]
+        # The hook observes; the search is unchanged.
+        want = plain.stats.as_dict()
+        got = outcome.stats.as_dict()
+        want.pop("solve_time")
+        got.pop("solve_time")
+        assert want == got
 
 
 class TestPortfolioExport:

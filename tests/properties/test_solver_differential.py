@@ -46,8 +46,9 @@ counterexample can be regenerated in isolation.  The environment knobs:
     compiler).  Set ``FUZZ_BACKENDS=""`` to trim the run.
 ``FUZZ_TRACE``
     Set to ``1`` to add the replay-oracle leg (default off): each
-    instance is re-solved with in-memory trace telemetry
-    (``SolverConfig.trace_events``), and the captured trace is replayed
+    instance is re-solved with trace telemetry into an in-memory sink
+    (``SolverConfig.trace_path`` given an ``io.BytesIO``), and the
+    captured trace is replayed
     into a fresh solver via ``repro.sat.replay.replay_trace`` — the
     replay must reproduce the original verdict, final trail, and event
     stream byte-for-byte.
@@ -68,6 +69,7 @@ logged" — run with ``-s`` to see it live).
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import random
@@ -91,6 +93,7 @@ from repro.sat import (
 )
 from repro.sat.kernel import native_available
 from repro.sat.replay import replay_trace
+from repro.sat.trace import decode_trace
 from repro.sat.types import SolveResult
 
 FUZZ_INSTANCES = int(os.environ.get("FUZZ_INSTANCES", "2000"))
@@ -349,13 +352,14 @@ def run_one(index: int):
         production_trace, _ = _strategy_pairs(
             rng_trace, formula.num_vars, strategy_kind
         )
-        events = []
+        sink = io.BytesIO()
         traced_solver = CdclSolver(
             formula,
             strategy=production_trace,
-            config=replace(config, trace_events=events),
+            config=replace(config, trace_path=sink),
         )
         traced_outcome = traced_solver.solve()
+        _, events = decode_trace(sink.getvalue())
         assert traced_outcome.status is outcome.status, (
             f"{ctx}: tracing changed the verdict"
         )

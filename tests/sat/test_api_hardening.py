@@ -123,3 +123,30 @@ class TestGeometricGrowth:
         assert solver._var_capacity >= 1000
         solver.ensure_num_vars(10)  # shrink requests are no-ops
         assert solver.num_vars == 1000
+
+
+class TestCadenceValidation:
+    """The two conflict-cadence fields are checked at construction: a
+    non-positive ``restart_base`` would restart on every step (the solve
+    never returns) and ``progress_every=0`` would divide by zero at the
+    first conflict, while a negative one silently fired every
+    ``|progress_every|`` conflicts."""
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_restart_base_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="restart_base"):
+            CdclSolver(_needs_search(), config=SolverConfig(restart_base=value))
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_progress_every_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="progress_every"):
+            CdclSolver(
+                _needs_search(),
+                config=SolverConfig(
+                    on_progress=lambda snap: None, progress_every=value
+                ),
+            )
+
+    def test_smallest_cadences_accepted(self):
+        config = SolverConfig(restart_base=1, progress_every=1)
+        assert CdclSolver(_needs_search(), config=config).solve().is_sat

@@ -55,8 +55,9 @@ def outcome_fingerprint(outcome):
         tuple(
             (
                 report.name, report.status, report.winner, report.epochs,
-                report.conflicts, report.decisions, report.propagations,
-                report.restarts, report.exported, report.imported,
+                report.stats.conflicts, report.stats.decisions,
+                report.stats.propagations, report.stats.restarts,
+                report.stats.exported_clauses, report.stats.imported_clauses,
             )
             for report in outcome.reports
         ),
@@ -140,7 +141,7 @@ class TestDeterministicMode:
             epoch_conflicts=64,
         ).solve()
         assert outcome.shared_clauses > 0
-        assert sum(r.imported for r in outcome.reports) > 0
+        assert sum(r.stats.imported_clauses for r in outcome.reports) > 0
 
     def test_winner_outcome_carries_core_and_reproves(self):
         outcome = PortfolioSolver(
@@ -228,7 +229,7 @@ class TestDeterministicMode:
         ).solve()
         assert outcome.status is SolveResult.UNKNOWN
         for report in outcome.reports:
-            assert report.conflicts <= 100
+            assert report.stats.conflicts <= 100
 
     def test_base_max_propagations_caps_cumulative_work(self):
         # Propagation/decision budgets must survive epoch slicing just
@@ -247,7 +248,7 @@ class TestDeterministicMode:
         for report in outcome.reports:
             # One epoch may overshoot by its in-flight propagations,
             # but the next barrier must cut the member off.
-            assert report.propagations < 2 * 2000
+            assert report.stats.propagations < 2 * 2000
 
     def test_root_unsat_formula(self):
         formula = CnfFormula(1)

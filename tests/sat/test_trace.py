@@ -2,7 +2,8 @@
 
 Covers the ``repro.sat.trace`` wire format — varint/zigzag round-trips,
 header validation, truncation/garbage rejection — and the solver
-integration: file and in-memory sinks record identical streams, the
+integration: path and in-memory (``BytesIO``) sinks record identical
+streams, the
 :class:`TraceState` simulator reconstructs the solver's final trail,
 and tracing never perturbs the search.
 """
@@ -17,6 +18,7 @@ import pytest
 from repro.cnf import CnfFormula
 from repro.sat import CdclSolver, SolverConfig, VsidsStrategy
 from repro.sat.trace import (
+    EV_ACCESS,
     EV_ASSUME,
     EV_BACKTRACK,
     EV_CONFLICT,
@@ -82,7 +84,7 @@ def _random_events(rng: random.Random, num_vars: int, count: int):
     must round-trip any (tag, arg) sequence, not just legal searches."""
     events = []
     for _ in range(count):
-        kind = rng.randrange(EV_END + 1)
+        kind = rng.randrange(len(EVENT_NAMES))
         if kind in LIT_EVENTS:
             arg = rng.randrange(2 * num_vars)
         elif kind == EV_END:
@@ -195,13 +197,13 @@ def test_reader_rejects_truncated_header_and_stream():
 
 
 def test_reader_rejects_unknown_event_tag():
-    blob = encode_events([], 4) + bytes([EV_END + 1, 0])
+    blob = encode_events([], 4) + bytes([len(EVENT_NAMES), 0])
     with pytest.raises(TraceFormatError):
         TraceReader(blob).events()
 
 
 def test_event_names_cover_all_tags():
-    assert len(EVENT_NAMES) == EV_END + 1
+    assert len(EVENT_NAMES) == EV_ACCESS + 1
     assert TraceEvent(EV_DECIDE, 3).name == "DECIDE"
     assert set(STATUS_NAMES) == {STATUS_SAT, STATUS_UNSAT, STATUS_UNKNOWN}
 
@@ -211,14 +213,23 @@ def test_event_names_cover_all_tags():
 # ----------------------------------------------------------------------
 
 
+def _solve_in_memory(formula, assumptions=(), **config_kwargs):
+    """Solve with a ``BytesIO`` trace sink; returns the decoded events."""
+    sink = io.BytesIO()
+    config = SolverConfig(trace_path=sink, **config_kwargs)
+    solver = CdclSolver(formula, strategy=VsidsStrategy(), config=config)
+    outcome = solver.solve(assumptions=assumptions)
+    num_vars, events = decode_trace(sink.getvalue())
+    assert num_vars == solver.num_vars
+    return solver, outcome, events
+
+
 def _solve_traced(formula, tmp_path, **config_kwargs):
-    events = []
     path = tmp_path / "solve.rtrc"
-    config = SolverConfig(
-        trace_path=str(path), trace_events=events, **config_kwargs
-    )
+    config = SolverConfig(trace_path=str(path), **config_kwargs)
     solver = CdclSolver(formula, strategy=VsidsStrategy(), config=config)
     outcome = solver.solve()
+    _, events = decode_trace(str(path))
     return solver, outcome, events, path
 
 
@@ -226,9 +237,11 @@ def test_solver_file_and_memory_streams_identical(tmp_path, rng):
     for _ in range(20):
         formula = random_formula(rng, rng.randint(4, 12), rng.randint(8, 50))
         solver, outcome, events, path = _solve_traced(formula, tmp_path)
-        num_vars, decoded = decode_trace(str(path))
-        assert num_vars == formula.num_vars
-        assert decoded == events
+        sink = io.BytesIO()
+        config = SolverConfig(trace_path=sink)
+        CdclSolver(formula, strategy=VsidsStrategy(), config=config).solve()
+        assert sink.getvalue() == path.read_bytes()
+        assert decode_trace(sink.getvalue()) == (formula.num_vars, events)
 
 
 def test_trace_state_reconstructs_final_trail(tmp_path, rng):
@@ -270,7 +283,6 @@ def test_tracing_does_not_perturb_search(tmp_path):
 def test_tracing_disabled_by_default():
     config = SolverConfig()
     assert config.trace_path is None
-    assert config.trace_events is None
     solver = CdclSolver(pigeonhole(3), strategy=VsidsStrategy(), config=config)
     solver.solve()
     assert solver._trace is None
@@ -278,10 +290,7 @@ def test_tracing_disabled_by_default():
 
 def test_trace_records_assumptions(tmp_path):
     formula = random_formula(random.Random(3), 8, 20)
-    events = []
-    config = SolverConfig(trace_events=events)
-    solver = CdclSolver(formula, strategy=VsidsStrategy(), config=config)
-    outcome = solver.solve(assumptions=[0, 2])
+    solver, outcome, events = _solve_in_memory(formula, assumptions=[0, 2])
     kinds = [e.kind for e in events]
     if outcome.status is SolveResult.SAT:
         # A SAT answer means every assumption level was opened (and the
@@ -294,9 +303,7 @@ def test_trace_records_assumptions(tmp_path):
 
 def test_trace_end_status_unknown_on_budget(tmp_path):
     formula = pigeonhole(7)
-    events = []
-    config = SolverConfig(trace_events=events, max_conflicts=5)
-    outcome = CdclSolver(formula, strategy=VsidsStrategy(), config=config).solve()
+    _, outcome, events = _solve_in_memory(formula, max_conflicts=5)
     assert outcome.status is SolveResult.UNKNOWN
     assert events[-1] == TraceEvent(EV_END, STATUS_UNKNOWN)
 
@@ -321,3 +328,15 @@ def test_trace_header_constants():
     blob = encode_events([], 9)
     assert blob[:4] == TRACE_MAGIC
     assert blob[4] == TRACE_VERSION
+
+
+def test_trace_state_skips_access_events(tmp_path):
+    formula = pigeonhole(6)
+    solver, _, events, _ = _solve_traced(
+        formula, tmp_path, profile_access=True
+    )
+    assert any(e.kind == EV_ACCESS for e in events)
+    state = TraceState(formula.num_vars)
+    state.apply_all(events)
+    assert state.trail == list(solver._trail[: solver._trail_len])
+    assert state.conflicts == solver.stats.conflicts

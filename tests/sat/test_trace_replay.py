@@ -11,17 +11,21 @@ assumption runs, and detection of tampered traces.
 
 from __future__ import annotations
 
+import io
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.sat import CdclSolver, SolverConfig, VsidsStrategy
 from repro.sat.replay import ReplayStrategy, TraceExhausted, replay_trace
 from repro.sat.trace import (
+    EV_ACCESS,
     EV_DECIDE,
     EV_END,
     EV_LEARN,
     TraceEvent,
+    decode_trace,
     encode_events,
 )
 from repro.sat.types import SolveResult
@@ -30,16 +34,15 @@ from tests.conftest import random_formula
 
 
 def _capture(formula, config=None, assumptions=()):
-    events = []
+    sink = io.BytesIO()
     base = config if config is not None else SolverConfig()
-    from dataclasses import replace
-
     solver = CdclSolver(
         formula,
         strategy=VsidsStrategy(),
-        config=replace(base, trace_events=events),
+        config=replace(base, trace_path=sink),
     )
     outcome = solver.solve(assumptions)
+    _, events = decode_trace(sink.getvalue())
     return solver, outcome, events
 
 
@@ -61,8 +64,7 @@ def test_replay_reproduces_random_runs(rng):
 def test_replay_from_file_and_bytes(tmp_path, rng):
     formula = pigeonhole(5)
     path = tmp_path / "php5.rtrc"
-    events = []
-    config = SolverConfig(trace_path=str(path), trace_events=events)
+    config = SolverConfig(trace_path=str(path))
     CdclSolver(formula, strategy=VsidsStrategy(), config=config).solve()
     for source in (str(path), path.read_bytes()):
         report = replay_trace(formula, source)
@@ -153,3 +155,15 @@ def test_replay_accepts_encoded_bytes_round_trip(rng):
     blob = encode_events(events, formula.num_vars)
     report = replay_trace(formula, blob)
     assert report.matches, report.mismatch
+
+
+def test_replay_skips_access_events():
+    # A profiled trace interleaves ACCESS samples with the search
+    # events; replay ignores them on both sides.
+    formula = pigeonhole(6)
+    config = SolverConfig(profile_access=True)
+    solver, outcome, events = _capture(formula, config)
+    assert any(e.kind == EV_ACCESS for e in events)
+    report = replay_trace(formula, events, config=config)
+    assert report.matches, report.mismatch
+    assert all(e.kind != EV_ACCESS for e in report.events)
